@@ -11,8 +11,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import ApplianceMetrics, MetricReport, mae, report, sae
 from .model import ConvLayerSpec, DisaggNet, ForwardOutput, NetConfig, combine, total_loss
 from .optim import Adam, Parameter
-from .postprocess import (FilterConfig, combine_hard, gumbel_softmax_sample,
-                          hard_gate, median_filter, reconcile_overlaps)
+from .postprocess import (FilterConfig, combine_hard, hard_gate, median_filter,
+                          reconcile_overlaps)
 from .series import PowerSeries, denormalize, fill_gaps, load_csv, normalize, save_csv
 from .states import ApplianceStateModel, cluster_states, label_states
 from .synth import ApplianceSpec, SyntheticScenario, demo_scenario, generate

@@ -27,6 +27,7 @@ __all__ = [
     "scale",
     "mse_loss",
     "cross_entropy_loss",
+    "release_tape",
     "CROSS_ENTROPY_CLIP",
 ]
 
@@ -84,6 +85,16 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
+
+
+def release_tape(root: Tensor) -> None:
+    """Unlink ``root`` and every tensor it depends on from the tape, so it
+    is freed without the cycle collector. Values stay; gradients cannot flow."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node._parents)
+        node._parents, node._backward = (), None
 
 
 def _lift(x) -> Tensor:

@@ -1,10 +1,10 @@
 """Command line interface.
 
-Subcommands: synth, states, train, disaggregate, evaluate. Settings merge
-as defaults < --config file < explicit flags, and every command that
-writes to an output directory echoes the merged settings there as
-effective_config.json so runs can be reproduced from the echo plus the
-input files.
+Subcommands: synth, states, train, disaggregate, evaluate. ``train`` merges
+settings as defaults < --config file < explicit flags. ``synth``, ``train``
+and ``disaggregate`` echo their settings into their output directory as
+effective_config.json, so runs can be reproduced from the echo plus the
+input files; train's echo can be reused as a --config.
 """
 from __future__ import annotations
 
@@ -17,8 +17,9 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import ApplianceMetrics, MetricReport, evaluate_pair
-from .model import ConvLayerSpec, DisaggNet, NetConfig
+from .model import DEFAULT_CONV_STACK, ConvLayerSpec, DisaggNet, NetConfig
 from .postprocess import FilterConfig
+from .presets import GRID_PERIOD_S, window_for
 from .series import PowerSeries, fill_gaps, load_csv, save_csv
 from .states import cluster_states, load_state_model, save_state_model
 from .synth import generate, load_scenario
@@ -28,22 +29,22 @@ from .windows import WindowConfig, make_windows
 VARIANT_FLAGS = {"plain": "plain", "median": "median", "hard": "hard",
                  "hard-median": "hard_median"}
 
+# train defaults to the 6 s (ukdale) grid and the paper-size net
 TRAIN_DEFAULTS = {
-    "period": 6,
-    "window_s": 32,
-    "window_w": 200,
+    "period": GRID_PERIOD_S["ukdale"],
+    "window_s": window_for("ukdale").s,
+    "window_w": window_for("ukdale").w,
     "stride": None,
-    "batch_size": 16,
-    "learning_rate": 1e-3,
-    "epochs": 10,
-    "lambda_power": 0.0,
-    "variant": "plain",
-    "seed": 0,
-    "shuffle": True,
-    "hidden": 1024,
-    "conv_stack": [[30, 10, 1], [30, 8, 1], [40, 6, 1], [50, 5, 1], [50, 5, 1]],
-    "tau": 1.0,
-    "median_window": 5,
+    "batch_size": TrainConfig.batch_size,
+    "learning_rate": TrainConfig.learning_rate,
+    "epochs": TrainConfig.epochs,
+    "lambda_power": TrainConfig.lambda_power,
+    "variant": TrainConfig.variant,
+    "seed": TrainConfig.seed,
+    "shuffle": TrainConfig.shuffle,
+    "hidden": NetConfig.hidden,
+    "conv_stack": [[c.filters, c.kernel, c.stride] for c in DEFAULT_CONV_STACK],
+    "tau": NetConfig.tau,
     "mains": None,
     "appliance": None,
     "state_model": None,
@@ -77,7 +78,7 @@ def _load_config_file(path) -> dict:
 
 def _merge_settings(args, keys) -> dict:
     merged = {k: TRAIN_DEFAULTS[k] for k in keys}
-    if getattr(args, "config", None):
+    if args.config:
         file_doc = _load_config_file(args.config)
         for k, v in file_doc.items():
             if k in merged:
@@ -231,27 +232,27 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="appliance-level energy disaggregation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON settings file")
-    shared.add_argument("--seed", type=int, help="override the random seed")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help="override the random seed")
 
-    p = sub.add_parser("synth", parents=[shared],
+    p = sub.add_parser("synth", parents=[seeded],
                        help="generate a synthetic scenario")
     p.add_argument("--scenario", required=True, help="scenario JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("states", parents=[shared],
+    p = sub.add_parser("states", parents=[seeded],
                        help="build an appliance state model from a CSV")
     p.add_argument("--appliance", required=True, help="appliance CSV")
     p.add_argument("--state-count", type=int, required=True, dest="state_count")
     p.add_argument("--out", required=True, help="state model JSON path")
     p.add_argument("--threshold", type=float, default=15.0, help="ON threshold, W")
-    p.add_argument("--period", type=int, default=6, help="grid period, s")
+    p.add_argument("--period", type=int, default=TRAIN_DEFAULTS["period"], help="grid period, s")
     p.add_argument("--name", default="appliance")
     p.set_defaults(func=cmd_states)
 
-    p = sub.add_parser("train", parents=[shared], help="train a net")
+    p = sub.add_parser("train", parents=[seeded], help="train a net")
+    p.add_argument("--config", help="JSON settings file")
     p.add_argument("--mains")
     p.add_argument("--appliance")
     p.add_argument("--state-model", dest="state_model")
@@ -271,24 +272,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("disaggregate", parents=[shared],
-                       help="run a trained net over a mains CSV")
+    p = sub.add_parser("disaggregate", help="run a trained net over a mains CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mains", required=True)
     p.add_argument("--state-model", required=True, dest="state_model")
     p.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="plain")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--stride", type=int)
-    p.add_argument("--median-window", type=int, default=5, dest="median_window")
-    p.add_argument("--period", type=int, default=6)
+    p.add_argument("--median-window", type=int, default=FilterConfig.median_window,
+                   dest="median_window")
+    p.add_argument("--period", type=int, default=TRAIN_DEFAULTS["period"])
     p.set_defaults(func=cmd_disaggregate)
 
-    p = sub.add_parser("evaluate", parents=[shared],
-                       help="score an estimate CSV against ground truth")
+    p = sub.add_parser("evaluate", help="score an estimate CSV against ground truth")
     p.add_argument("--estimate", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out", help="metric CSV path")
-    p.add_argument("--period", type=int, default=6)
+    p.add_argument("--period", type=int, default=TRAIN_DEFAULTS["period"])
     p.add_argument("--name", default="appliance")
     p.set_defaults(func=cmd_evaluate)
     return parser

@@ -204,6 +204,7 @@ class DisaggNet:
 
     def predict(self, inputs: np.ndarray) -> ForwardOutput:
         fwd = self.forward_tensors(inputs)
+        ad.release_tape(fwd.combined)  # the whole tape, freed without waiting for gc
         return ForwardOutput(fwd.ratings.values, fwd.state_probs.values,
                              fwd.combined.values)
 

@@ -1,8 +1,9 @@
-"""State-sequence post-processing: hard gating, gumbel relaxation,
-median filtering, and overlap merging.
+"""State-sequence post-processing: hard gating, gumbel noise, median
+filtering, and overlap merging.
 
 State sequences are plain arrays with one row per timestep and one column
-per state: soft rows sum to 1, hard rows are exactly one-hot.
+per state: soft rows sum to 1, hard rows are exactly one-hot. Any leading
+batch axes come first, so a batch of windows is ``[B, s, l]``.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ __all__ = [
     "FilterConfig",
     "hard_gate",
     "sample_gumbel",
-    "gumbel_softmax_sample",
     "median_filter",
     "combine_hard",
     "reconcile_overlaps",
@@ -24,43 +24,35 @@ __all__ = [
 @dataclass(frozen=True)
 class FilterConfig:
     median_window: int = 5
-    tau: float = 1.0
 
     def __post_init__(self):
         if self.median_window < 3 or self.median_window % 2 == 0:
             raise ValueError(
                 f"median_window must be odd and >= 3, got {self.median_window}"
             )
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
 
 
-def _rows(x, op: str) -> tuple[np.ndarray, bool]:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 1:
-        return a[None, :], True
-    if a.ndim == 2:
-        return a, False
-    raise ValueError(f"{op}: expected a row or a matrix of rows, got shape {a.shape}")
-
-
-def _check_one_hot(rows: np.ndarray, op: str) -> None:
+def _one_hot_sequences(states, op: str) -> np.ndarray:
+    """State sequences ``[..., T, l]`` whose rows must be exactly one-hot."""
+    rows = np.asarray(states, dtype=np.float64)
+    if rows.ndim < 2:
+        raise ValueError(f"{op}: expected rows of shape [..., T, l], got {rows.shape}")
     binary = (rows == 0.0) | (rows == 1.0)
     if not (np.all(binary) and np.all(rows.sum(axis=-1) == 1.0)):
         raise ValueError(f"{op}: rows must be exactly one-hot")
+    return rows
 
 
 def hard_gate(probabilities) -> np.ndarray:
-    """Replace each probability row with the one-hot of its argmax
-    (ties resolve to the lowest index). Idempotent."""
-    rows, single = _rows(probabilities, "hard_gate")
-    if rows.shape[-1] < 1 or rows.size == 0:
+    """Replace each probability row (last axis, any leading shape) with the
+    one-hot of its argmax (ties resolve to the lowest index). Idempotent."""
+    rows = np.asarray(probabilities, dtype=np.float64)
+    if rows.ndim == 0 or rows.size == 0:
         raise ValueError("hard_gate: empty input")
     sums = rows.sum(axis=-1)
     if not np.all(np.abs(sums - 1.0) <= 1e-6):
         raise ValueError("hard_gate: rows must sum to 1 within 1e-6")
-    out = np.eye(rows.shape[-1])[np.argmax(rows, axis=-1)]
-    return out[0] if single else out
+    return np.eye(rows.shape[-1])[np.argmax(rows, axis=-1)]
 
 
 def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
@@ -70,72 +62,65 @@ def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
     return -np.log(-np.log(np.maximum(u, tiny)) + tiny)
 
 
-def gumbel_softmax_sample(logits, tau: float, rng: np.random.Generator) -> np.ndarray:
-    """Relaxed one-hot sample: softmax((logits + gumbel) / tau) per row."""
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    rows, single = _rows(logits, "gumbel_softmax_sample")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("gumbel_softmax_sample: logits contain NaN or Inf")
-    z = (rows + sample_gumbel(rows.shape, rng)) / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
-    return out[0] if single else out
-
-
 def median_filter(states, cfg: FilterConfig = FilterConfig()) -> np.ndarray:
     """Majority state over a centered window, per timestep.
 
-    Equivalent to taking the per-state binary median over the window and
-    renormalizing to one-hot: at most one state can hold a strict majority
-    of an odd window, and when one does it wins the vote. When no state
-    has a majority the most frequent state in the window wins (lowest
-    index on ties), so the output state always occurs inside the window.
-    Windows shrink symmetrically at the boundaries (length stays odd).
+    ``states`` holds one-hot rows of shape ``[..., T, l]``; each sequence
+    along the time axis (-2) is filtered on its own. Equivalent to taking
+    the per-state binary median over the window and renormalizing to
+    one-hot: at most one state can hold a strict majority of an odd
+    window, and when one does it wins the vote. When no state has a
+    majority the most frequent state in the window wins (lowest index on
+    ties), so the output state always occurs inside the window. Windows
+    shrink symmetrically at the boundaries (length stays odd).
     """
-    rows, single = _rows(states, "median_filter")
-    _check_one_hot(rows, "median_filter")
-    if single:
-        return rows[0].copy()
-    total, l = rows.shape
+    rows = _one_hot_sequences(states, "median_filter")
+    total, l = rows.shape[-2:]
     half = cfg.median_window // 2
-    csum = np.zeros((total + 1, l))
-    np.cumsum(rows, axis=0, out=csum[1:])
+    csum = np.zeros(rows.shape[:-2] + (total + 1, l))
+    np.cumsum(rows, axis=-2, out=csum[..., 1:, :])
     t = np.arange(total)
     ht = np.minimum(half, np.minimum(t, total - 1 - t))
-    counts = csum[t + ht + 1] - csum[t - ht]  # per-state occurrences in window
-    return np.eye(l)[np.argmax(counts, axis=1)]
+    counts = csum[..., t + ht + 1, :] - csum[..., t - ht, :]  # per-state occurrences
+    return np.eye(l)[np.argmax(counts, axis=-1)]
 
 
 def combine_hard(ratings, states) -> np.ndarray:
-    """out[t] = ratings[state at t]; states must be one-hot rows."""
+    """out[..., t] = ratings[..., state at t].
+
+    ``states`` holds one-hot rows ``[..., s, l]`` and ``ratings`` one
+    rating per state for each sequence, ``[..., l]``.
+    """
     r = np.asarray(ratings, dtype=np.float64)
-    rows, single = _rows(states, "combine_hard")
-    _check_one_hot(rows, "combine_hard")
-    if r.ndim != 1 or rows.shape[-1] != len(r):
+    rows = _one_hot_sequences(states, "combine_hard")
+    if r.shape != rows.shape[:-2] + rows.shape[-1:]:
         raise ValueError(
             f"combine_hard: ratings shape {r.shape} does not match states "
-            f"shape {np.asarray(states).shape}"
+            f"shape {rows.shape}"
         )
-    out = rows @ r
-    return out[0] if single else out
+    return (rows @ r[..., None])[..., 0]
 
 
 def reconcile_overlaps(window_outputs, total_length: int) -> np.ndarray:
     """Merge per-window output slices onto one series by per-position mean.
 
-    ``window_outputs`` yields (start_index, values) pairs. Every position
-    in [0, total_length) must be covered by at least one window.
+    ``window_outputs`` yields (start_index, values) pairs, summed in the
+    order given. ``values`` has shape ``[s, ...]``: one entry, or one row
+    of columns, per position; every window shares the trailing shape.
+    Every position in [0, total_length) must be covered by at least one
+    window. Returns ``[total_length, ...]``.
     """
     if total_length < 1:
         raise ValueError(f"total_length must be >= 1, got {total_length}")
-    acc = np.zeros(total_length)
+    acc = None
     cover = np.zeros(total_length)
     for start, vals in window_outputs:
         vals = np.asarray(vals, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ValueError(f"window at {start}: values must be 1-D, got {vals.shape}")
+        if acc is None:
+            acc = np.zeros((total_length,) + vals.shape[1:])
+        if vals.ndim == 0 or vals.shape[1:] != acc.shape[1:]:
+            raise ValueError(f"window at {start}: values shape {vals.shape}, "
+                             f"expected (s,) + {acc.shape[1:]}")
         if start < 0 or start + len(vals) > total_length:
             raise ValueError(
                 f"window [{start}, {start + len(vals)}) exceeds length {total_length}"
@@ -145,4 +130,4 @@ def reconcile_overlaps(window_outputs, total_length: int) -> np.ndarray:
     if np.any(cover == 0):
         idx = int(np.argmax(cover == 0))
         raise ValueError(f"position {idx} is not covered by any window")
-    return acc / cover
+    return acc / cover.reshape((-1,) + (1,) * (acc.ndim - 1))

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint  # re-exported surface
 from .model import DisaggNet, combine, total_loss
 from .postprocess import (FilterConfig, combine_hard, hard_gate, median_filter,
                           reconcile_overlaps, sample_gumbel)
@@ -23,8 +22,6 @@ __all__ = [
     "train",
     "DisaggregationResult",
     "disaggregate",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 VARIANTS = ("plain", "median", "hard", "hard_median")
@@ -176,14 +173,18 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
                  batch_size: int = 256) -> DisaggregationResult:
     """Slide the net over a mains series and merge window estimates.
 
-    Power pipeline: window -> forward -> per-window state post-processing
-    (argmax gate for hard variants, then median filter for median
-    variants) -> combine -> per-position mean across windows ->
-    denormalize -> clamp at 0 W. A tail window is added when the stride
-    does not land on the last valid start, so every sample is covered.
+    Windows start every ``stride`` samples (default and maximum ``s``, so
+    no sample falls between windows), plus a tail window when the stride
+    misses the last valid start. Each batch of ``batch_size`` windows runs
+    as one pipeline over ``[B, s, l]`` state rows: gather -> forward ->
+    argmax gate (hard variants) -> median filter along each window's own
+    s rows (median variants) -> combine. One merge sums the power column
+    and the state rows of every window, batch by batch in window order,
+    into ``[T, 1 + l]`` and takes the per-position mean; the power is then
+    denormalized and clamped at 0 W.
 
-    The returned state sequence merges the per-window rows by position
-    mean; hard variants re-harden the merged rows by argmax, and median
+    The returned state sequence is that position mean of the per-window
+    rows; hard variants re-harden the merged rows by argmax, and median
     variants then run the median filter over the merged sequence, since
     the filter is defined on an appliance's state sequence as a whole and
     window-local filtering cannot see across window boundaries.
@@ -201,36 +202,31 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
         raise ValueError(f"series length {total} is shorter than the output window {s}")
     if stride is None:
         stride = s
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    starts = list(range(0, total - s + 1, stride))
+    if not 1 <= stride <= s:
+        raise ValueError(f"stride must be between 1 and the output window s={s}, "
+                         f"got {stride}")
+    starts = np.arange(0, total - s + 1, stride)
     if starts[-1] != total - s:
-        starts.append(total - s)  # cover the tail
+        starts = np.append(starts, total - s)  # cover the tail
     norm = normalize(mains, state_model.norm_mean, state_model.norm_std)
     pad = normalize(np.zeros(1), state_model.norm_mean, state_model.norm_std)[0]
-    power_windows: list[tuple[int, np.ndarray]] = []
-    state_acc = np.zeros((total, l))
-    state_cover = np.zeros(total)
-    for lo in range(0, len(starts), batch_size):
-        chunk = starts[lo : lo + batch_size]
-        batch = np.stack([input_window(norm, st, cfg.window, pad) for st in chunk])
-        out = model.predict(batch)
-        for i, st in enumerate(chunk):
-            rows = out.state_probs[i]
-            if variant == "plain":
-                values = out.combined[i]
-            else:
+
+    def window_outputs():
+        for lo in range(0, len(starts), batch_size):
+            chunk = starts[lo : lo + batch_size]
+            out = model.predict(input_window(norm, chunk, cfg.window, pad))
+            rows, values = out.state_probs, out.combined
+            if variant != "plain":
                 rows = hard_gate(rows)
                 if variant in ("median", "hard_median"):
                     rows = median_filter(rows, filter_cfg)
-                values = combine_hard(out.ratings[i], rows)
-            power_windows.append((st, values))
-            state_acc[st : st + s] += rows
-            state_cover[st : st + s] += 1.0
-    merged = reconcile_overlaps(power_windows, total)
+                values = combine_hard(out.ratings, rows)
+            yield from zip(chunk, np.concatenate([values[..., None], rows], axis=-1))
+
+    merged = reconcile_overlaps(window_outputs(), total)
     estimate = np.maximum(
-        denormalize(merged, state_model.norm_mean, state_model.norm_std), 0.0)
-    states = state_acc / state_cover[:, None]
+        denormalize(merged[:, 0], state_model.norm_mean, state_model.norm_std), 0.0)
+    states = merged[:, 1:]
     if variant != "plain":
         states = np.eye(l)[np.argmax(states, axis=1)]
         if variant in ("median", "hard_median"):

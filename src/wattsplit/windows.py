@@ -41,17 +41,18 @@ class WindowedExample:
     target_states: np.ndarray  # [s, l] one-hot
 
 
-def input_window(values: np.ndarray, start: int, cfg: WindowConfig,
+def input_window(values: np.ndarray, start, cfg: WindowConfig,
                  pad_value: float) -> np.ndarray:
-    """Input window covering [start - w, start + s + w); out-of-range
-    positions take ``pad_value``."""
-    out = np.full(cfg.input_length, pad_value, dtype=np.float64)
-    lo = start - cfg.w
-    hi = start + cfg.s + cfg.w
-    src_lo = max(lo, 0)
-    src_hi = min(hi, len(values))
-    if src_lo < src_hi:
-        out[src_lo - lo : src_hi - lo] = values[src_lo:src_hi]
+    """Input windows covering [start - w, start + s + w); out-of-range
+    positions (negative ones included) take ``pad_value``.
+
+    ``start`` is an integer or an integer array of starts; the result has
+    shape ``start.shape + (s + 2w,)``, gathered in one indexing step.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    idx = np.asarray(start)[..., None] + np.arange(-cfg.w, cfg.s + cfg.w)
+    out = values.take(idx, mode="clip") if len(values) else np.empty(idx.shape)
+    out[(idx < 0) | (idx >= len(values))] = pad_value
     return out
 
 

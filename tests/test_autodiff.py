@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import (central_difference, conv1d_scalar, cross_entropy_scalar,
                       relative_error)
 from wattsplit.autodiff import (Tensor, add, conv1d, cross_entropy_loss, dense,
-                                mse_loss, relu, reshape, scale, sigmoid, softmax)
+                                mse_loss, release_tape, relu, reshape, scale, sigmoid,
+                                softmax)
 
 FD_TOL = 1e-5
 
@@ -27,6 +28,23 @@ class TestTensor:
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError, match="scalar"):
             Tensor([1.0, 2.0]).backward()
+
+    def test_released_tape_is_freed_without_the_cycle_collector(self):
+        import gc
+        import weakref
+        x = Tensor(np.ones((2, 3)))
+        out = softmax(relu(x))
+        values = out.values.copy()
+        alive = weakref.ref(out.values)
+        release_tape(out)
+        np.testing.assert_array_equal(out.values, values)
+        assert out._backward is None and out._parents == ()
+        gc.disable()
+        try:
+            del out
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_grad_accumulates_across_shared_use(self):
         x = Tensor([2.0, 3.0])

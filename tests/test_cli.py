@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from wattsplit.cli import main
+from wattsplit.cli import TRAIN_DEFAULTS, main
 from wattsplit.metrics import METRIC_HEADER
 from wattsplit.series import load_csv
 from wattsplit.states import load_state_model
@@ -168,6 +168,19 @@ class TestTrain:
         assert echo["window_s"] == 4
         assert echo["hidden"] == 8
         assert echo["conv_stack"] == [[3, 3, 1], [4, 3, 1]]
+        # settings that no flag set echo their defaults
+        assert {k: echo[k] for k in ("period", "stride", "batch_size", "learning_rate",
+                                     "lambda_power", "variant", "shuffle", "tau")} == {
+            "period": 6, "stride": None, "batch_size": 16, "learning_rate": 1e-3,
+            "lambda_power": 0.0, "variant": "plain", "shuffle": True, "tau": 1.0}
+
+    def test_defaults_are_the_paper_size_net(self):
+        assert {k: TRAIN_DEFAULTS[k] for k in ("window_s", "window_w", "hidden",
+                                               "conv_stack", "epochs", "seed")} == {
+            "window_s": 32, "window_w": 200, "hidden": 1024,
+            "conv_stack": [[30, 10, 1], [30, 8, 1], [40, 6, 1], [50, 5, 1], [50, 5, 1]],
+            "epochs": 10, "seed": 0}
+        assert "median_window" not in TRAIN_DEFAULTS  # only disaggregate reads it
 
     def test_same_seed_checkpoints_are_byte_identical(self, workspace, tmp_path):
         data = workspace / "data"
@@ -235,6 +248,26 @@ class TestDisaggregate:
             main(["disaggregate", "--checkpoint", "x", "--mains", "y",
                   "--state-model", "z", "--variant", "soft", "--out", "o"])
         assert exc.value.code == 2
+
+    def test_config_is_a_usage_error(self, workspace, tmp_path):
+        # disaggregate reads no settings file, so it does not accept one
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"stride": 2}))
+        with pytest.raises(SystemExit) as exc:
+            main(["disaggregate", "--config", str(cfg_path),
+                  "--checkpoint", str(workspace / "run" / "checkpoint.ddnn"),
+                  "--mains", str(workspace / "data" / "mains.csv"),
+                  "--state-model", str(workspace / "heater_model.json"),
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+    def test_stride_beyond_window_is_reported(self, workspace, tmp_path, capsys):
+        assert main(["disaggregate", "--checkpoint", str(workspace / "run" / "checkpoint.ddnn"),
+                     "--mains", str(workspace / "data" / "mains.csv"),
+                     "--state-model", str(workspace / "heater_model.json"),
+                     "--stride", "5000", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stride") and "s=4" in err
 
     def test_missing_checkpoint_is_reported(self, workspace, tmp_path, capsys):
         assert main(["disaggregate", "--checkpoint", str(tmp_path / "nope.ddnn"),

@@ -176,6 +176,18 @@ class TestForward:
         assert np.array_equal(out.state_probs, fwd.state_probs.values)
         assert np.array_equal(out.combined, fwd.combined.values)
 
+    def test_predict_leaves_no_reference_cycles(self, rng):
+        import gc
+        net = DisaggNet(tiny_config())
+        x = rng.normal(size=(3, net.config.window.input_length))
+        gc.collect()
+        gc.disable()
+        try:
+            net.predict(x)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_single_window_heads_match_batched(self, rng):
         cfg = tiny_config()
         net = DisaggNet(cfg)

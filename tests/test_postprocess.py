@@ -1,4 +1,4 @@
-"""Post-processing: hard gate, gumbel sampling, median filter, overlap merge."""
+"""Post-processing: hard gate, gumbel noise, median filter, overlap merge."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import combine_scalar, median_filter_scalar
 from wattsplit.model import combine
-from wattsplit.postprocess import (FilterConfig, combine_hard, gumbel_softmax_sample,
-                                   hard_gate, median_filter, reconcile_overlaps)
+from wattsplit.postprocess import (FilterConfig, combine_hard, hard_gate, median_filter,
+                                   reconcile_overlaps, sample_gumbel)
 
 
 def one_hot(indices, l):
@@ -20,10 +20,6 @@ class TestFilterConfig:
             with pytest.raises(ValueError, match="median_window"):
                 FilterConfig(median_window=bad)
         assert FilterConfig().median_window == 5
-
-    def test_tau_positive(self):
-        with pytest.raises(ValueError, match="tau"):
-            FilterConfig(tau=0.0)
 
 
 class TestHardGate:
@@ -39,9 +35,16 @@ class TestHardGate:
         once = hard_gate(probs)
         np.testing.assert_array_equal(once, hard_gate(once))
 
+    def test_batch_matches_per_window_calls(self, rng):
+        probs = rng.dirichlet(np.ones(3), size=(5, 7))
+        np.testing.assert_array_equal(hard_gate(probs),
+                                      np.stack([hard_gate(p) for p in probs]))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hard_gate(np.zeros((0, 3)))
+        with pytest.raises(ValueError):
+            hard_gate(np.float64(1.0))
 
     def test_rows_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -56,40 +59,33 @@ class TestHardGate:
         assert out[hot] == 1.0 and out.sum() == 1.0
 
 
-class TestGumbelSoftmax:
-    def test_rows_sum_to_one(self, rng):
-        logits = rng.normal(size=(100, 4)) * 3
-        out = gumbel_softmax_sample(logits, 1.0, rng)
-        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
-        assert np.all(out > 0)
-
-    def test_low_temperature_tracks_dominant_logit(self, rng):
-        hits = 0
-        for _ in range(100):
-            sample = gumbel_softmax_sample(np.array([5.0, 0.0, 0.0]), 0.01, rng)
-            hits += int(np.argmax(sample) == 0)
+class TestSampleGumbel:
+    # argmax(logits + g) draws index i with probability softmax(logits)[i]
+    # when g is standard gumbel noise (the gumbel-max trick)
+    def test_gumbel_max_tracks_dominant_logit(self, rng):
+        logits = np.array([5.0, 0.0, 0.0])
+        hits = sum(int(np.argmax(logits + sample_gumbel((1, 3), rng)) == 0)
+                   for _ in range(100))
         assert hits >= 99
 
-    def test_equal_logits_sample_uniformly(self, rng):
-        logits = np.zeros((10_000, 3))
-        samples = gumbel_softmax_sample(logits, 1.0, rng)
-        freq = np.bincount(np.argmax(samples, axis=-1), minlength=3) / 10_000
+    def test_gumbel_max_over_equal_logits_is_uniform(self, rng):
+        draws = np.argmax(sample_gumbel((10_000, 3), rng), axis=-1)
+        freq = np.bincount(draws, minlength=3) / 10_000
         np.testing.assert_allclose(freq, 1.0 / 3.0, atol=0.03)
 
     def test_deterministic_given_generator_state(self):
-        a = gumbel_softmax_sample(np.array([1.0, 2.0]), 0.5,
-                                  np.random.default_rng(3))
-        b = gumbel_softmax_sample(np.array([1.0, 2.0]), 0.5,
-                                  np.random.default_rng(3))
+        a = sample_gumbel((4, 3), np.random.default_rng(3))
+        b = sample_gumbel((4, 3), np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
-    def test_tau_validated(self, rng):
-        with pytest.raises(ValueError, match="tau"):
-            gumbel_softmax_sample(np.zeros(3), 0.0, rng)
+    def test_finite_at_uniform_zero(self):
+        class ZeroUniform:
+            def random(self, shape):
+                return np.zeros(shape)
 
-    def test_non_finite_logits_rejected(self, rng):
-        with pytest.raises(ValueError, match="NaN"):
-            gumbel_softmax_sample(np.array([np.nan, 0.0]), 1.0, rng)
+        g = sample_gumbel((2, 3), ZeroUniform())
+        assert g.shape == (2, 3)
+        assert np.all(np.isfinite(g))
 
 
 class TestMedianFilter:
@@ -144,9 +140,22 @@ class TestMedianFilter:
             out = median_filter(states, FilterConfig(median_window=window))
             np.testing.assert_array_equal(out, states)
 
+    def test_batch_filters_each_sequence_on_its_own(self, rng):
+        # a batch of windows is filtered along each window's own time axis,
+        # with the shrinking edge windows of every sequence
+        states = one_hot(rng.integers(0, 3, size=(6, 9)), 3)
+        out = median_filter(states, FilterConfig(median_window=5))
+        assert out.shape == states.shape
+        for got, seq in zip(out, states):
+            np.testing.assert_array_equal(got, median_filter_scalar(seq, 5))
+
     def test_requires_one_hot(self):
         with pytest.raises(ValueError, match="one-hot"):
             median_filter(np.array([[0.5, 0.5]]), FilterConfig())
+
+    def test_requires_a_time_axis(self):
+        with pytest.raises(ValueError, match="shape"):
+            median_filter(np.array([0.0, 1.0]), FilterConfig())
 
     def test_constant_input_unchanged(self):
         states = one_hot([2] * 20, 3)
@@ -176,9 +185,19 @@ class TestCombineHard:
         with pytest.raises(ValueError, match="one-hot"):
             combine_hard(np.array([0.0, 1.0]), np.array([[0.4, 0.6]]))
 
+    def test_batch_selects_each_windows_ratings(self, rng):
+        ratings = rng.normal(size=(5, 3))
+        states = one_hot(rng.integers(0, 3, size=(5, 8)), 3)
+        out = combine_hard(ratings, states)
+        assert out.shape == (5, 8)
+        for got, r, rows in zip(out, ratings, states):
+            np.testing.assert_array_equal(got, combine_scalar(r, rows))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="ratings"):
             combine_hard(np.array([0.0, 1.0, 2.0]), one_hot([0, 1], 2))
+        with pytest.raises(ValueError, match="ratings"):
+            combine_hard(np.zeros((3, 2)), one_hot([[0, 1]] * 2, 2))
 
 
 class TestCombineOracle:
@@ -208,6 +227,17 @@ class TestReconcileOverlaps:
     def test_out_of_bounds_window(self):
         with pytest.raises(ValueError, match="exceeds"):
             reconcile_overlaps([(3, np.array([1.0, 2.0]))], 4)
+
+    def test_rows_merge_per_column(self):
+        out = reconcile_overlaps([(0, np.array([[1.0, 0.0], [1.0, 0.0]])),
+                                  (1, np.array([[3.0, 1.0], [3.0, 1.0]]))], 3)
+        np.testing.assert_array_equal(out, [[1.0, 0.0], [2.0, 0.5], [3.0, 1.0]])
+
+    def test_trailing_shape_must_agree(self):
+        with pytest.raises(ValueError, match=r"expected \(s,\) \+ \(3,\)"):
+            reconcile_overlaps([(0, np.zeros((2, 3))), (2, np.zeros(2))], 4)
+        with pytest.raises(ValueError, match="values shape"):
+            reconcile_overlaps([(0, np.float64(1.0))], 1)
 
     @given(st.integers(1, 5), st.integers(5, 30))
     @settings(max_examples=30)

@@ -4,8 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import combine_scalar, median_filter_scalar
 from wattsplit.model import ConvLayerSpec, DisaggNet, NetConfig, total_loss
-from wattsplit.series import PowerSeries
+from wattsplit.postprocess import FilterConfig
+from wattsplit.series import PowerSeries, denormalize, normalize
 from wattsplit.states import ApplianceStateModel
 from wattsplit.trainer import (
     VARIANTS,
@@ -15,7 +17,7 @@ from wattsplit.trainer import (
     disaggregate,
     train,
 )
-from wattsplit.windows import WindowConfig, WindowedExample
+from wattsplit.windows import WindowConfig, WindowedExample, input_window
 
 S, W, L = 4, 3, 3
 INPUT_LEN = S + 2 * W
@@ -274,8 +276,6 @@ class TestDisaggregate:
         mains = make_mains(total=5 * S)
         res = disaggregate(net, mains, sm, variant="hard")
         allowed = set()
-        from wattsplit.series import denormalize, normalize
-        from wattsplit.windows import input_window
         norm = normalize(mains, sm.norm_mean, sm.norm_std)
         pad = normalize(np.zeros(1), sm.norm_mean, sm.norm_std)[0]
         for st in range(0, len(mains), S):
@@ -335,3 +335,63 @@ class TestDisaggregate:
     def test_rejects_bad_stride(self):
         with pytest.raises(ValueError, match="stride"):
             disaggregate(tiny_net(), make_mains(), heater_model(), stride=0)
+
+    def test_rejects_stride_beyond_window_before_any_forward_pass(self):
+        net = tiny_net()
+        calls = []
+        net.predict = lambda inputs: calls.append(inputs)
+        with pytest.raises(ValueError, match=rf"stride.*s={S}.*got {S + 1}"):
+            disaggregate(net, make_mains(), heater_model(), stride=S + 1)
+        assert calls == []
+
+
+def per_window_oracle(net, mains, sm, variant, stride, median_window=5):
+    """``disaggregate`` one window at a time: single-window ``predict``
+    calls, the scalar oracles for combine and the median filter, and a
+    plain loop for the overlap merge."""
+    s, l = net.config.window.s, net.config.state_count
+    total = len(mains)
+    starts = list(range(0, total - s + 1, stride))
+    if starts[-1] != total - s:
+        starts.append(total - s)
+    norm = normalize(mains, sm.norm_mean, sm.norm_std)
+    pad = normalize(np.zeros(1), sm.norm_mean, sm.norm_std)[0]
+    power_sum, state_sum, cover = np.zeros(total), np.zeros((total, l)), np.zeros(total)
+    for st in starts:
+        out = net.predict(input_window(norm, st, net.config.window, pad)[None])
+        rows, ratings = out.state_probs[0], out.ratings[0]
+        if variant != "plain":
+            rows = np.eye(l)[np.argmax(rows, axis=1)]
+            if variant in ("median", "hard_median"):
+                rows = median_filter_scalar(rows, median_window)
+        for t in range(s):
+            power_sum[st + t] += combine_scalar(ratings, rows)[t]
+            state_sum[st + t] += rows[t]
+            cover[st + t] += 1
+    estimate = np.maximum(denormalize(power_sum / cover, sm.norm_mean, sm.norm_std), 0.0)
+    states = state_sum / cover[:, None]
+    if variant != "plain":
+        states = np.eye(l)[np.argmax(states, axis=1)]
+        if variant in ("median", "hard_median"):
+            states = median_filter_scalar(states, median_window)
+    return estimate, states, len(starts)
+
+
+class TestDisaggregateMatchesPerWindowOracle:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("stride,batch_size", [(1, 4), (3, 4), (None, 5)])
+    def test_batched_pipeline_matches(self, variant, stride, batch_size):
+        # 45 samples: stride 3 and stride s=4 both need a tail window, and
+        # no batch size here divides the window count
+        net, mains, sm = tiny_net(seed=3), make_mains(total=45, seed=8), heater_model()
+        res = disaggregate(net, mains, sm, variant, stride=stride,
+                           filter_cfg=FilterConfig(median_window=3),
+                           batch_size=batch_size)
+        estimate, states, windows = per_window_oracle(
+            net, mains, sm, variant, stride or S, median_window=3)
+        assert windows % batch_size != 0
+        np.testing.assert_allclose(res.estimate.values, estimate, rtol=1e-12, atol=1e-9)
+        if variant == "plain":
+            np.testing.assert_allclose(res.states, states, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(res.states, states)

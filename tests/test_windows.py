@@ -48,6 +48,30 @@ class TestInputWindow:
         out = input_window(vals, 3, WindowConfig(3, 2), pad_value=-9.0)
         np.testing.assert_array_equal(out, [1, 2, 3, 4, 5, -9, -9])
 
+    def test_both_edges_pad(self):
+        vals = np.arange(3, dtype=float)
+        out = input_window(vals, 0, WindowConfig(3, 2), pad_value=-9.0)
+        np.testing.assert_array_equal(out, [-9, -9, 0, 1, 2, -9, -9])
+        empty = input_window(np.array([]), 0, WindowConfig(1, 1), pad_value=-9.0)
+        np.testing.assert_array_equal(empty, [-9, -9, -9])
+
+    def test_negative_start_pads_rather_than_wraps(self):
+        vals = np.arange(10, dtype=float)
+        out = input_window(vals, -4, WindowConfig(3, 2), pad_value=-9.0)
+        np.testing.assert_array_equal(out, [-9, -9, -9, -9, -9, -9, 0])
+        far = input_window(vals, -50, WindowConfig(3, 2), pad_value=-9.0)
+        np.testing.assert_array_equal(far, np.full(7, -9.0))
+
+    def test_array_of_starts_stacks_scalar_calls(self):
+        vals = np.arange(12, dtype=float)
+        cfg = WindowConfig(3, 2)
+        starts = np.array([[-6, -1, 0], [4, 9, 15]])
+        out = input_window(vals, starts, cfg, pad_value=-9.0)
+        assert out.shape == (2, 3, cfg.input_length)
+        for idx in np.ndindex(starts.shape):
+            np.testing.assert_array_equal(
+                out[idx], input_window(vals, int(starts[idx]), cfg, pad_value=-9.0))
+
 
 class TestMakeWindows:
     def test_alignment_of_input_and_target(self, rng):
