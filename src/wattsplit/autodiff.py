@@ -39,22 +39,18 @@ class Tensor:
 
     __slots__ = ("values", "grad", "_parents", "_backward")
 
-    def __init__(self, values, _parents=(), _backward=None):
+    def __init__(self, values, _parents=()):
         v = np.asarray(values, dtype=np.float64)
         if not v.flags["C_CONTIGUOUS"]:  # ascontiguousarray would promote 0-d
             v = np.ascontiguousarray(v)
         self.values = v
         self.grad = None
         self._parents = tuple(_parents)
-        self._backward = _backward
+        self._backward = None
 
     @property
     def shape(self):
         return self.values.shape
-
-    @property
-    def size(self):
-        return self.values.size
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape})"
@@ -113,25 +109,20 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 def conv1d(x, kernels, bias, stride: int = 1) -> Tensor:
     """Valid (no padding) 1-D convolution.
 
-    x: [channels_in, length] or [batch, channels_in, length]
+    x: [batch, channels_in, length]
     kernels: [channels_out, channels_in, k], bias: [channels_out]
-    out[c, t] = bias[c] + sum_{ci, j} kernels[c, ci, j] * x[ci, t * stride + j]
+    out[b, c, t] = bias[c] + sum_{ci, j} kernels[c, ci, j] * x[b, ci, t * stride + j]
     """
     x, kernels, bias = _lift(x), _lift(kernels), _lift(bias)
     if not isinstance(stride, int) or stride < 1:
         raise ValueError(f"conv1d: stride must be a positive int, got {stride!r}")
     xv, kv, bv = x.values, kernels.values, bias.values
-    if xv.ndim == 2:
-        single = True
-        x3 = xv[None]
-    elif xv.ndim == 3:
-        single = False
-        x3 = xv
-    else:
-        raise ValueError(f"conv1d: input must be 2-D or 3-D, got shape {xv.shape}")
+    if xv.ndim != 3:
+        raise ValueError(f"conv1d: input must be 3-D [batch, channels, length], "
+                         f"got shape {xv.shape}")
     if kv.ndim != 3:
         raise ValueError(f"conv1d: kernels must be 3-D, got shape {kv.shape}")
-    batch, cin, length = x3.shape
+    batch, cin, length = xv.shape
     cout, kcin, k = kv.shape
     if kcin != cin:
         raise ValueError(
@@ -146,35 +137,35 @@ def conv1d(x, kernels, bias, stride: int = 1) -> Tensor:
         raise ValueError(f"conv1d: kernel size {k} exceeds input length {length}")
     out_len = (length - k) // stride + 1
     # im2col: gather every receptive field, then one GEMM per layer
-    win = sliding_window_view(x3, k, axis=2)[:, :, ::stride, :]  # [B,cin,T,k]
+    win = sliding_window_view(xv, k, axis=2)[:, :, ::stride, :]  # [B,cin,T,k]
     cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(
         batch, out_len, cin * k
     )
     wmat = kv.reshape(cout, cin * k)
     out_btc = cols @ wmat.T + bv  # [B,T,cout]
     out_vals = np.ascontiguousarray(out_btc.transpose(0, 2, 1))
-    out = Tensor(out_vals[0] if single else out_vals, (x, kernels, bias))
+    out = Tensor(out_vals, (x, kernels, bias))
 
     def _bwd():
-        g = out.grad[None] if single else out.grad  # [B,cout,T]
+        g = out.grad  # [B,cout,T]
         g_btc = np.ascontiguousarray(g.transpose(0, 2, 1))  # [B,T,cout]
         _accumulate(bias, g.sum(axis=(0, 2)))
         g_w = np.tensordot(g_btc, cols, axes=([0, 1], [0, 1]))  # [cout, cin*k]
         _accumulate(kernels, g_w.reshape(cout, cin, k))
         g_cols = (g_btc @ wmat).reshape(batch, out_len, cin, k)
-        g_x = np.zeros_like(x3)
+        g_x = np.zeros_like(xv)
         for j in range(k):  # scatter each tap back onto the input
             g_x[:, :, j : j + stride * out_len : stride] += g_cols[
                 :, :, :, j
             ].transpose(0, 2, 1)
-        _accumulate(x, g_x[0] if single else g_x)
+        _accumulate(x, g_x)
 
     out._backward = _bwd
     return out
 
 
 def dense(x, weights, bias) -> Tensor:
-    """Affine layer: out = weights @ x + bias. x may be [n] or [batch, n]."""
+    """Affine layer: out[b] = weights @ x[b] + bias, for x [batch, n]."""
     x, weights, bias = _lift(x), _lift(weights), _lift(bias)
     xv, wv, bv = x.values, weights.values, bias.values
     if wv.ndim != 2:
@@ -182,27 +173,19 @@ def dense(x, weights, bias) -> Tensor:
     m, n = wv.shape
     if bv.shape != (m,):
         raise ValueError(f"dense: bias shape {bv.shape} does not match out width {m}")
-    if xv.ndim == 1:
-        single = True
-        x2 = xv[None]
-    elif xv.ndim == 2:
-        single = False
-        x2 = xv
-    else:
-        raise ValueError(f"dense: input must be 1-D or 2-D, got shape {xv.shape}")
-    if x2.shape[1] != n:
+    if xv.ndim != 2:
+        raise ValueError(f"dense: input must be 2-D [batch, n], got shape {xv.shape}")
+    if xv.shape[1] != n:
         raise ValueError(
             f"dense: input shape {xv.shape} does not match weights shape {wv.shape}"
         )
-    out_vals = x2 @ wv.T + bv
-    out = Tensor(out_vals[0] if single else out_vals, (x, weights, bias))
+    out = Tensor(xv @ wv.T + bv, (x, weights, bias))
 
     def _bwd():
-        g2 = out.grad[None] if single else out.grad
-        _accumulate(weights, g2.T @ x2)
-        _accumulate(bias, g2.sum(axis=0))
-        gx = g2 @ wv
-        _accumulate(x, gx[0] if single else gx)
+        g = out.grad
+        _accumulate(weights, g.T @ xv)
+        _accumulate(bias, g.sum(axis=0))
+        _accumulate(x, g @ wv)
 
     out._backward = _bwd
     return out
@@ -238,17 +221,17 @@ def sigmoid(x) -> Tensor:
     return out
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``; rows are strictly positive and sum to 1."""
+def softmax(x) -> Tensor:
+    """Softmax along the last axis; rows are strictly positive and sum to 1."""
     x = _lift(x)
     _check_finite(x.values, "softmax")
-    shifted = x.values - x.values.max(axis=axis, keepdims=True)
+    shifted = x.values - x.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    vals = e / e.sum(axis=axis, keepdims=True)
+    vals = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(vals, (x,))
 
     def _bwd():
-        inner = (out.grad * out.values).sum(axis=axis, keepdims=True)
+        inner = (out.grad * out.values).sum(axis=-1, keepdims=True)
         _accumulate(x, (out.grad - inner) * out.values)
 
     out._backward = _bwd
@@ -267,17 +250,16 @@ def reshape(x, shape) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    """Elementwise sum; shapes must match exactly or one side be scalar."""
+    """Elementwise sum of two tensors of the same shape."""
     a, b = _lift(a), _lift(b)
     av, bv = a.values, b.values
-    if av.shape != bv.shape and av.size != 1 and bv.size != 1:
+    if av.shape != bv.shape:
         raise ValueError(f"add: shape mismatch {av.shape} vs {bv.shape}")
     out = Tensor(av + bv, (a, b))
 
     def _bwd():
-        g = out.grad
-        _accumulate(a, g.reshape(av.shape) if av.shape == g.shape else np.sum(g).reshape(av.shape))
-        _accumulate(b, g.reshape(bv.shape) if bv.shape == g.shape else np.sum(g).reshape(bv.shape))
+        _accumulate(a, out.grad)
+        _accumulate(b, out.grad)
 
     out._backward = _bwd
     return out
@@ -322,8 +304,7 @@ def cross_entropy_loss(probabilities, targets) -> Tensor:
     """
     probabilities = _lift(probabilities)
     pv = probabilities.values
-    tv = np.asarray(targets.values if isinstance(targets, Tensor) else targets,
-                    dtype=np.float64)
+    tv = np.asarray(targets, dtype=np.float64)
     if pv.shape != tv.shape:
         raise ValueError(
             f"cross_entropy_loss: shape mismatch {pv.shape} vs {tv.shape}"

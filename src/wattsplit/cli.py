@@ -76,14 +76,11 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _merge_settings(args, keys) -> dict:
-    merged = {k: TRAIN_DEFAULTS[k] for k in keys}
+def _merge_settings(args) -> dict:
+    merged = dict(TRAIN_DEFAULTS)
     if args.config:
-        file_doc = _load_config_file(args.config)
-        for k, v in file_doc.items():
-            if k in merged:
-                merged[k] = v
-    for k in keys:
+        merged.update(_load_config_file(args.config))
+    for k in TRAIN_DEFAULTS:
         flag = getattr(args, k, None)
         if flag is not None:
             merged[k] = flag
@@ -91,17 +88,12 @@ def _merge_settings(args, keys) -> dict:
 
 
 def _echo_config(out_dir: str, command: str, settings: dict) -> None:
+    """settings holds only JSON values: strings, numbers, None and lists."""
     os.makedirs(out_dir, exist_ok=True)
-    doc = {"command": command}
-    for k, v in sorted(settings.items()):
-        if isinstance(v, tuple):
-            v = [list(x) if isinstance(x, (tuple, ConvLayerSpec)) else x for x in v]
-        if isinstance(v, ConvLayerSpec):
-            v = [v.filters, v.kernel, v.stride]
-        doc[k] = v
+    doc = {"command": command, **dict(sorted(settings.items()))}
     with open(os.path.join(out_dir, "effective_config.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, default=lambda o: [o.filters, o.kernel, o.stride])
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
@@ -141,11 +133,7 @@ def cmd_states(args) -> int:
 
 
 def cmd_train(args) -> int:
-    keys = ["period", "window_s", "window_w", "stride", "batch_size",
-            "learning_rate", "epochs", "lambda_power", "variant", "seed",
-            "shuffle", "hidden", "conv_stack", "tau", "mains", "appliance",
-            "state_model"]
-    st = _merge_settings(args, keys)
+    st = _merge_settings(args)
     for required in ("mains", "appliance", "state_model"):
         if st[required] is None:
             raise ValueError(f"train: --{required.replace('_', '-')} is required "

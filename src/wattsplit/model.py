@@ -12,7 +12,7 @@ selecting a single rating per timestep.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,7 @@ __all__ = [
     "ForwardPass",
     "ForwardOutput",
     "combine",
-    "loss_output",
     "loss_power",
-    "loss_state",
     "total_loss",
 ]
 
@@ -208,38 +206,17 @@ class DisaggNet:
         return ForwardOutput(fwd.ratings.values, fwd.state_probs.values,
                              fwd.combined.values)
 
-    def forward_power(self, window: np.ndarray) -> np.ndarray:
-        """Per-state normalized ratings [l] for one input window."""
-        x = self._check_single(window)
-        return self.power_net.forward(Tensor(x[None, None, :])).values[0]
-
-    def forward_state(self, window: np.ndarray) -> np.ndarray:
-        """Per-timestep state probabilities [s, l] for one input window."""
-        x = self._check_single(window)
-        s, l = self.config.window.s, self.config.state_count
-        logits = self.state_net.forward(Tensor(x[None, None, :]))
-        return ad.softmax(ad.reshape(logits, (1, s, l))).values[0]
-
-    def _check_single(self, window: np.ndarray) -> np.ndarray:
-        x = np.asarray(window, dtype=np.float64)
-        if x.shape != (self.config.window.input_length,):
-            raise ValueError(
-                f"expected one window of length {self.config.window.input_length}, "
-                f"got shape {x.shape}"
-            )
-        return x
-
 
 def combine(ratings, probs) -> Tensor:
     """combined[..., t] = sum_j probs[..., t, j] * ratings[..., j].
 
-    ratings: [l] or [B, l]; probs: [s, l] or [B, s, l].
+    probs holds one row per timestep ``[..., s, l]`` and ratings one rating
+    per state for each sequence, ``[..., l]``.
     """
     ratings = ad._lift(ratings)
     probs = ad._lift(probs)
     rv, pv = ratings.values, probs.values
-    if rv.ndim + 1 != pv.ndim or pv.shape[-1] != rv.shape[-1] or (
-            rv.ndim == 2 and pv.shape[0] != rv.shape[0]):
+    if pv.ndim < 2 or rv.shape != pv.shape[:-2] + pv.shape[-1:]:
         raise ValueError(
             f"combine: ratings shape {rv.shape} does not match probs shape {pv.shape}"
         )
@@ -254,34 +231,25 @@ def combine(ratings, probs) -> Tensor:
     return out
 
 
-def loss_output(combined, target_power) -> Tensor:
-    """MSE between the combined estimate and the normalized target."""
-    return ad.mse_loss(combined, target_power)
-
-
 def loss_power(ratings, centroid_targets) -> Tensor:
-    """MSE between predicted ratings and the normalized centroid vector."""
+    """MSE between predicted ratings [B, l] and the normalized centroid
+    vector [l], broadcast across the batch."""
     ratings = ad._lift(ratings)
-    t = np.asarray(centroid_targets, dtype=np.float64)
-    if ratings.values.ndim == 2:  # broadcast targets across the batch
-        t = np.broadcast_to(t, ratings.values.shape)
+    t = np.broadcast_to(np.asarray(centroid_targets, dtype=np.float64),
+                        ratings.values.shape)
     return ad.mse_loss(ratings, t)
-
-
-def loss_state(state_probs, target_states) -> Tensor:
-    """Categorical cross entropy averaged over timestep rows."""
-    return ad.cross_entropy_loss(state_probs, target_states)
 
 
 def total_loss(fwd: ForwardPass, target_power, target_states,
                lambda_power: float = 0.0, centroid_targets=None):
-    """loss_output + loss_state (+ lambda_power * loss_power).
+    """mse(combined, target_power) + cross_entropy(state_probs,
+    target_states) (+ lambda_power * loss_power).
 
     Returns (total, output_term, state_term). The power term only enters
     when lambda_power > 0, which requires centroid_targets.
     """
-    out_term = loss_output(fwd.combined, target_power)
-    state_term = loss_state(fwd.state_probs, target_states)
+    out_term = ad.mse_loss(fwd.combined, target_power)
+    state_term = ad.cross_entropy_loss(fwd.state_probs, target_states)
     total = ad.add(out_term, state_term)
     if lambda_power > 0.0:
         if centroid_targets is None:

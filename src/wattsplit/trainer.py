@@ -189,7 +189,10 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     the filter is defined on an appliance's state sequence as a whole and
     window-local filtering cannot see across window boundaries.
 
-    Model parameters are never modified.
+    Model parameters are never modified. The output bits depend on
+    ``batch_size`` as well as on the BLAS thread count: OpenBLAS rounds a
+    forward pass differently for different batch sizes, by up to 1.1e-13 W
+    in the estimate of the canned demo's net.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")

@@ -20,7 +20,6 @@ class TestTensor:
         assert t.values.dtype == np.float64
         assert t.values.flags["C_CONTIGUOUS"]
         assert t.shape == (2, 2)
-        assert t.size == 4
 
     def test_grad_starts_empty(self):
         assert Tensor([1.0]).grad is None
@@ -59,32 +58,34 @@ class TestTensor:
 class TestConv1d:
     def test_hand_example(self):
         # [1,2,3,4] * kernel [1,0,-1]: 1-3 = -2, 2-4 = -2
-        out = conv1d(Tensor([[1.0, 2.0, 3.0, 4.0]]),
+        out = conv1d(Tensor([[[1.0, 2.0, 3.0, 4.0]]]),
                      Tensor([[[1.0, 0.0, -1.0]]]), Tensor([0.0]))
-        assert out.values.shape == (1, 2)
-        np.testing.assert_array_equal(out.values, [[-2.0, -2.0]])
+        assert out.values.shape == (1, 1, 2)
+        np.testing.assert_array_equal(out.values, [[[-2.0, -2.0]]])
 
     def test_matches_scalar_loop(self, rng):
-        x = rng.normal(size=(3, 20))
+        x = rng.normal(size=(2, 3, 20))
         k = rng.normal(size=(5, 3, 4))
         b = rng.normal(size=5)
         for stride in (1, 2, 3):
             out = conv1d(Tensor(x), Tensor(k), Tensor(b), stride=stride)
-            np.testing.assert_allclose(out.values, conv1d_scalar(x, k, b, stride),
-                                       rtol=1e-12, atol=1e-12)
+            for i in range(2):
+                np.testing.assert_allclose(out.values[i],
+                                           conv1d_scalar(x[i], k, b, stride),
+                                           rtol=1e-12, atol=1e-12)
 
     def test_one_hot_kernel_extracts_shifted_slice(self, rng):
-        x = rng.normal(size=(1, 12))
+        x = rng.normal(size=(1, 1, 12))
         k = np.zeros((1, 1, 3))
         k[0, 0, 2] = 1.0  # picks x[t + 2]
         out = conv1d(Tensor(x), Tensor(k), Tensor(np.zeros(1)))
-        np.testing.assert_array_equal(out.values[0], x[0, 2:])
+        np.testing.assert_array_equal(out.values[0, 0], x[0, 0, 2:])
 
     def test_output_length(self, rng):
-        x = rng.normal(size=(1, 11))
+        x = rng.normal(size=(1, 1, 11))
         k = rng.normal(size=(2, 1, 4))
         out = conv1d(Tensor(x), Tensor(k), Tensor(np.zeros(2)), stride=3)
-        assert out.values.shape == (2, (11 - 4) // 3 + 1)
+        assert out.values.shape == (1, 2, (11 - 4) // 3 + 1)
 
     def test_batched_matches_per_example(self, rng):
         x = rng.normal(size=(4, 2, 15))
@@ -92,25 +93,30 @@ class TestConv1d:
         b = rng.normal(size=3)
         batched = conv1d(Tensor(x), Tensor(k), Tensor(b), stride=2)
         for i in range(4):
-            single = conv1d(Tensor(x[i]), Tensor(k), Tensor(b), stride=2)
-            np.testing.assert_allclose(batched.values[i], single.values, rtol=1e-13)
+            one = conv1d(Tensor(x[i : i + 1]), Tensor(k), Tensor(b), stride=2)
+            np.testing.assert_allclose(batched.values[i], one.values[0], rtol=1e-13)
 
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            conv1d(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 1, 5))),
+            conv1d(Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 5))),
                    Tensor(np.zeros(1)))
 
     def test_channel_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError) as err:
-            conv1d(Tensor(np.zeros((2, 9))), Tensor(np.zeros((4, 3, 3))),
+            conv1d(Tensor(np.zeros((1, 2, 9))), Tensor(np.zeros((4, 3, 3))),
                    Tensor(np.zeros(4)))
-        assert "(2, 9)" in str(err.value) and "(4, 3, 3)" in str(err.value)
+        assert "(1, 2, 9)" in str(err.value) and "(4, 3, 3)" in str(err.value)
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ValueError, match=r"3-D.*\(2, 9\)"):
+            conv1d(Tensor(np.zeros((2, 9))), Tensor(np.zeros((4, 2, 3))),
+                   Tensor(np.zeros(4)))
 
     def test_gradients_match_finite_differences(self, rng):
-        x = rng.normal(size=(2, 10))
+        x = rng.normal(size=(2, 2, 10))
         k = rng.normal(size=(3, 2, 3))
         b = rng.normal(size=3)
-        weight = rng.normal(size=(3, 8))  # random scalarization
+        weight = rng.normal(size=(2, 3, 8))  # random scalarization
 
         def run(xv, kv, bv):
             out = conv1d(Tensor(xv), Tensor(kv), Tensor(bv))
@@ -130,7 +136,7 @@ class TestConv1d:
             assert relative_error(tensor.grad, fd) < FD_TOL
 
     def test_stride_gradient(self, rng):
-        x = rng.normal(size=(2, 13))
+        x = rng.normal(size=(2, 2, 13))
         k = rng.normal(size=(2, 2, 4))
         b = rng.normal(size=2)
         xt = Tensor(x)
@@ -147,28 +153,34 @@ class TestConv1d:
 
 class TestDense:
     def test_forward(self, rng):
-        x = rng.normal(size=5)
+        x = rng.normal(size=(2, 5))
         w = rng.normal(size=(3, 5))
         b = rng.normal(size=3)
         out = dense(Tensor(x), Tensor(w), Tensor(b))
-        np.testing.assert_allclose(out.values, w @ x + b, rtol=1e-13)
+        for i in range(2):
+            np.testing.assert_allclose(out.values[i], w @ x[i] + b, rtol=1e-13)
 
     def test_shape_mismatch_named(self):
         with pytest.raises(ValueError) as err:
-            dense(Tensor(np.zeros(4)), Tensor(np.zeros((3, 5))), Tensor(np.zeros(3)))
-        assert "(4,)" in str(err.value) and "(3, 5)" in str(err.value)
+            dense(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5))),
+                  Tensor(np.zeros(3)))
+        assert "(2, 4)" in str(err.value) and "(3, 5)" in str(err.value)
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ValueError, match=r"2-D.*\(5,\)"):
+            dense(Tensor(np.zeros(5)), Tensor(np.zeros((3, 5))), Tensor(np.zeros(3)))
 
     def test_gradients_match_finite_differences(self, rng):
-        x = rng.normal(size=6)
+        x = rng.normal(size=(2, 6))
         w = rng.normal(size=(4, 6))
         b = rng.normal(size=4)
         xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
-        loss = mse_loss(dense(xt, wt, bt), np.zeros(4))
+        loss = mse_loss(dense(xt, wt, bt), np.zeros((2, 4)))
         loss.backward()
         for tensor, arr, f in (
-            (xt, x, lambda v: float(np.mean((w @ v + b) ** 2))),
-            (wt, w, lambda v: float(np.mean((v @ x + b) ** 2))),
-            (bt, b, lambda v: float(np.mean((w @ x + v) ** 2))),
+            (xt, x, lambda v: float(np.mean((v @ w.T + b) ** 2))),
+            (wt, w, lambda v: float(np.mean((x @ v.T + b) ** 2))),
+            (bt, b, lambda v: float(np.mean((x @ w.T + v) ** 2))),
         ):
             assert relative_error(tensor.grad, central_difference(f, arr)) < FD_TOL
 
@@ -304,43 +316,43 @@ class TestCompositeOps:
         loss.backward()
         np.testing.assert_allclose(at.grad, bt.grad, rtol=1e-13)
 
-    def test_add_scalar_broadcast(self):
-        out = add(Tensor([1.0, 2.0]), Tensor(1.5))
-        np.testing.assert_array_equal(out.values, [2.5, 3.5])
-
     def test_add_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
+    def test_add_rejects_scalar_and_vector(self):
+        with pytest.raises(ValueError, match=r"mismatch \(2,\) vs \(\)"):
+            add(Tensor([1.0, 2.0]), Tensor(1.5))
+
     def test_deep_chain_matches_fd(self, rng):
         """Whole small net worth of ops: conv -> relu -> dense -> softmax -> CE."""
-        x = rng.normal(size=(1, 12))
+        x = rng.normal(size=(2, 1, 12))
         k = rng.normal(size=(2, 1, 3), scale=0.7)
         w = rng.normal(size=(6, 20), scale=0.5)
-        targets = np.eye(3)[[0, 2]]
+        targets = np.eye(3)[[[0, 2], [1, 1]]]
 
         def f(kv):
             h = conv1d(Tensor(x), Tensor(kv), Tensor(np.zeros(2)))
             h = relu(h)
-            h = reshape(h, (20,))
+            h = reshape(h, (2, 20))
             h = dense(h, Tensor(w), Tensor(np.zeros(6)))
-            p = softmax(reshape(h, (2, 3)))
+            p = softmax(reshape(h, (2, 2, 3)))
             return cross_entropy_loss(p, targets)
 
         kt = Tensor(k)
         h = conv1d(Tensor(x), kt, Tensor(np.zeros(2)))
         h = relu(h)
-        h = reshape(h, (20,))
+        h = reshape(h, (2, 20))
         h = dense(h, Tensor(w), Tensor(np.zeros(6)))
-        loss = cross_entropy_loss(softmax(reshape(h, (2, 3))), targets)
+        loss = cross_entropy_loss(softmax(reshape(h, (2, 2, 3))), targets)
         loss.backward()
         fd = central_difference(lambda v: float(f(v).values), k)
         assert relative_error(kt.grad, fd) < FD_TOL
 
     def test_forward_values_stay_finite(self, rng):
-        x = rng.normal(size=(2, 30)) * 3
+        x = rng.normal(size=(2, 2, 30)) * 3
         out = softmax(dense(relu(reshape(
             conv1d(Tensor(x), Tensor(rng.normal(size=(3, 2, 5))),
-                   Tensor(rng.normal(size=3))), (78,))),
+                   Tensor(rng.normal(size=3))), (2, 78))),
             Tensor(rng.normal(size=(4, 78)) * 0.1), Tensor(np.zeros(4))))
         assert np.all(np.isfinite(out.values))

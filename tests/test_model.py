@@ -13,9 +13,7 @@ from wattsplit.model import (
     DisaggNet,
     NetConfig,
     combine,
-    loss_output,
     loss_power,
-    loss_state,
     total_loss,
 )
 from wattsplit.windows import WindowConfig
@@ -188,29 +186,12 @@ class TestForward:
         finally:
             gc.enable()
 
-    def test_single_window_heads_match_batched(self, rng):
-        cfg = tiny_config()
-        net = DisaggNet(cfg)
-        x = rng.normal(size=(2, cfg.window.input_length))
-        out = net.predict(x)
-        np.testing.assert_allclose(net.forward_power(x[0]), out.ratings[0],
-                                   atol=1e-12)
-        np.testing.assert_allclose(net.forward_state(x[1]), out.state_probs[1],
-                                   atol=1e-12)
-
     def test_rejects_wrong_batch_shape(self, rng):
         net = DisaggNet(tiny_config())
         with pytest.raises(ValueError, match="expected inputs"):
             net.forward_tensors(rng.normal(size=(3, 11)))
         with pytest.raises(ValueError, match="expected inputs"):
             net.forward_tensors(rng.normal(size=10))
-
-    def test_rejects_wrong_single_window(self, rng):
-        net = DisaggNet(tiny_config())
-        with pytest.raises(ValueError, match="one window"):
-            net.forward_power(rng.normal(size=9))
-        with pytest.raises(ValueError, match="one window"):
-            net.forward_state(rng.normal(size=(2, 10)))
 
     def test_combined_is_product_of_heads(self, rng):
         cfg = tiny_config()
@@ -305,9 +286,9 @@ class TestLosses:
         assert total.values.item() == pytest.approx(
             out_term.values.item() + state_term.values.item(), abs=1e-12)
         assert out_term.values.item() == pytest.approx(
-            loss_output(fwd.combined, tp).values.item(), abs=1e-12)
+            ad.mse_loss(fwd.combined, tp).values.item(), abs=1e-12)
         assert state_term.values.item() == pytest.approx(
-            loss_state(fwd.state_probs, ts).values.item(), abs=1e-12)
+            ad.cross_entropy_loss(fwd.state_probs, ts).values.item(), abs=1e-12)
 
     def test_power_term_scales_with_lambda(self, rng):
         _, fwd, tp, ts = self._forward(rng)
@@ -343,7 +324,7 @@ class TestLosses:
     def test_power_head_gradient_needs_lambda_or_output_loss(self, rng):
         # with only the state term, power-subnet params get no gradient signal
         net, fwd, _, ts = self._forward(rng)
-        state_term = loss_state(fwd.state_probs, ts)
+        state_term = ad.cross_entropy_loss(fwd.state_probs, ts)
         state_term.backward()
         power_grads = [p.tensor.grad for p in net.power_net.params]
         assert all(g is None for g in power_grads)

@@ -279,7 +279,8 @@ class TestDisaggregate:
         norm = normalize(mains, sm.norm_mean, sm.norm_std)
         pad = normalize(np.zeros(1), sm.norm_mean, sm.norm_std)[0]
         for st in range(0, len(mains), S):
-            ratings = net.forward_power(input_window(norm, st, net.config.window, pad))
+            window = input_window(norm, st, net.config.window, pad)
+            ratings = net.predict(window[None]).ratings[0]
             for r in ratings:
                 allowed.add(round(max(denormalize(r, sm.norm_mean, sm.norm_std), 0.0), 9))
         for v in res.estimate.values:
