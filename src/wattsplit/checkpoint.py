@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .model import ConvLayerSpec, DisaggNet, NetConfig
+from .model import DisaggNet, NetConfig
 from .windows import WindowConfig
 
 __all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
@@ -116,8 +116,7 @@ def load_checkpoint(path) -> DisaggNet:
         config = NetConfig(
             window=WindowConfig(int(fields["s"]), int(fields["w"])),
             state_count=int(fields["state_count"]),
-            conv_stack=tuple(ConvLayerSpec(*spec)
-                             for spec in json.loads(fields["conv_stack"])),
+            conv_stack=json.loads(fields["conv_stack"]),
             hidden=int(fields["hidden"]),
             tau=float(fields["tau"]),
             seed=int(fields["seed"]),

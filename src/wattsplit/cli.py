@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import ApplianceMetrics, MetricReport, evaluate_pair
-from .model import DEFAULT_CONV_STACK, ConvLayerSpec, DisaggNet, NetConfig
+from .model import DEFAULT_CONV_STACK, DisaggNet, NetConfig
 from .postprocess import FilterConfig
 from .presets import GRID_PERIOD_S, window_for
 from .series import PowerSeries, fill_gaps, load_csv, save_csv
@@ -51,28 +51,53 @@ TRAIN_DEFAULTS = {
 }
 
 
-def _parse_conv_stack(value):
-    """Accept [[f,k,s],...] (config file) or "16x9,16x7@2" (flag)."""
-    if isinstance(value, str):
-        layers = []
-        for part in value.split(","):
-            part = part.strip()
-            stride = 1
-            if "@" in part:
-                part, stride_text = part.split("@", 1)
-                stride = int(stride_text)
-            filters_text, kernel_text = part.split("x", 1)
-            layers.append([int(filters_text), int(kernel_text), stride])
-        value = layers
-    return tuple(ConvLayerSpec(*[int(x) for x in layer]) for layer in value)
+def _check_setting(key: str, value) -> None:
+    """Reject a config value whose JSON type does not fit its setting.
+
+    A setting has its default's type; ``stride`` takes an int and the input
+    paths a string, or null as by default. A bool is not an int, an int is
+    accepted as a float, and ``conv_stack`` is a flag string or a list of
+    [filters, kernel(, stride)] integer lists.
+    """
+    default = TRAIN_DEFAULTS[key]
+    if value is None and default is None:
+        return
+    kind = type(default) if default is not None else int if key == "stride" else str
+    ok = type(value) in {float: (int, float), list: (list, str)}.get(kind, (kind,))
+    if ok and type(value) is list:
+        ok = all(type(layer) is list and len(layer) in (2, 3)
+                 and all(type(x) is int for x in layer) for layer in value)
+    if not ok:
+        raise ValueError(f"config key {key!r}: {value!r} does not fit the "
+                         f"setting's type ({kind.__name__})")
+
+
+def _parse_conv_stack(value: str) -> list[list[int]]:
+    """Parse the --conv-stack flag form "16x9,16x7@2" (filters x kernel[@stride])."""
+    layers = []
+    for part in value.split(","):
+        part = part.strip()
+        stride = 1
+        if "@" in part:
+            part, stride_text = part.split("@", 1)
+            stride = int(stride_text)
+        filters_text, kernel_text = part.split("x", 1)
+        layers.append([int(filters_text), int(kernel_text), stride])
+    return layers
 
 
 def _load_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a config file holds one JSON object")
     unknown = set(doc) - set(TRAIN_DEFAULTS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, value in doc.items():
+        _check_setting(key, value)
+        if type(TRAIN_DEFAULTS[key]) is float:
+            doc[key] = float(value)
     return doc
 
 
@@ -101,6 +126,13 @@ def _load_series(path, period: int) -> PowerSeries:
     return fill_gaps(load_csv(path, period))
 
 
+def _save_state_indices(path, stamps, indices) -> None:
+    """Write ``epoch_seconds,state_index`` rows."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for t, s in zip(stamps, indices):
+            fh.write(f"{int(t)},{int(s)}\n")
+
+
 def cmd_synth(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
@@ -111,11 +143,8 @@ def cmd_synth(args) -> int:
     save_csv(mains, os.path.join(args.out, "mains.csv"))
     for spec, trace, states in zip(scenario.appliances, traces, state_seqs):
         save_csv(trace, os.path.join(args.out, f"{spec.name}.csv"))
-        stamps = trace.timestamps()
-        with open(os.path.join(args.out, f"{spec.name}.states"), "w",
-                  encoding="utf-8") as fh:
-            for t, s in zip(stamps, states):
-                fh.write(f"{int(t)},{int(s)}\n")
+        _save_state_indices(os.path.join(args.out, f"{spec.name}.states"),
+                            trace.timestamps(), states)
     _echo_config(args.out, "synth",
                  {"scenario": os.path.abspath(args.scenario), "seed": scenario.seed})
     print(f"wrote mains.csv and {len(scenario.appliances)} appliance traces to {args.out}")
@@ -143,17 +172,18 @@ def cmd_train(args) -> int:
     mains = _load_series(st["mains"], st["period"])
     appliance = _load_series(st["appliance"], st["period"])
     window = WindowConfig(st["window_s"], st["window_w"])
-    conv_stack = _parse_conv_stack(st["conv_stack"])
-    # echo the canonical form so the echo file can be reused as a --config
-    st["conv_stack"] = [[c.filters, c.kernel, c.stride] for c in conv_stack]
+    conv_stack = st["conv_stack"]
     net = DisaggNet(NetConfig(
         window=window,
         state_count=state_model.state_count,
-        conv_stack=conv_stack,
+        conv_stack=(_parse_conv_stack(conv_stack) if isinstance(conv_stack, str)
+                    else conv_stack),
         hidden=st["hidden"],
         tau=st["tau"],
         seed=st["seed"],
     ))
+    # echo the canonical form so the echo file can be reused as a --config
+    st["conv_stack"] = [[c.filters, c.kernel, c.stride] for c in net.config.conv_stack]
     net.dataset_tag = os.path.basename(str(st["mains"]))
     examples = make_windows(mains, appliance, state_model, window,
                             stride=st["stride"])
@@ -167,7 +197,6 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.ddnn")
     save_checkpoint(net, ckpt)
-    rep.checkpoint_path = ckpt
     rep.to_csv(os.path.join(args.out, "train_report.csv"))
     _echo_config(args.out, "train", st)
     last = rep.epochs[-1] if rep.epochs else None
@@ -186,11 +215,8 @@ def cmd_disaggregate(args) -> int:
                           stride=args.stride, filter_cfg=filter_cfg)
     os.makedirs(args.out, exist_ok=True)
     save_csv(result.estimate, os.path.join(args.out, "estimate.csv"))
-    stamps = result.estimate.timestamps()
-    indices = np.argmax(result.states, axis=1)
-    with open(os.path.join(args.out, "states.csv"), "w", encoding="utf-8") as fh:
-        for t, s in zip(stamps, indices):
-            fh.write(f"{int(t)},{int(s)}\n")
+    _save_state_indices(os.path.join(args.out, "states.csv"),
+                        result.estimate.timestamps(), np.argmax(result.states, axis=1))
     _echo_config(args.out, "disaggregate", {
         "checkpoint": os.path.abspath(args.checkpoint),
         "state_model": os.path.abspath(args.state_model),

@@ -27,6 +27,7 @@ __all__ = ["demo_window", "demo_net_config", "ApplianceOutcome", "DemoOutcome",
 # sized for a single CPU core: enough context to see whole activations
 # (w=40 samples = 4 min at 6 s) without the full benchmark-width stack
 DEMO_CONV_STACK = (ConvLayerSpec(16, 9), ConvLayerSpec(16, 7), ConvLayerSpec(24, 5))
+HOLDOUT_FRACTION = 0.2  # the trailing share of the scenario that is scored
 
 
 def demo_window() -> WindowConfig:
@@ -82,7 +83,6 @@ def _training_mode(variant: str) -> str:
 def run_demo(duration: int = 200_000, seed: int = 7, epochs: int = 10,
              batch_size: int = 16, learning_rate: float = 1e-3,
              variants: tuple[str, ...] = ("plain", "hard", "hard_median"),
-             holdout_fraction: float = 0.2,
              net_seed: int = 2, train_stride: int = 16,
              infer_stride: int = 16) -> DemoOutcome:
     """Train and score the canned scenario.
@@ -97,7 +97,7 @@ def run_demo(duration: int = 200_000, seed: int = 7, epochs: int = 10,
     """
     scenario = demo_scenario(duration=duration, seed=seed)
     mains, traces, state_seqs = generate(scenario)
-    split = int(round(duration * (1.0 - holdout_fraction)))
+    split = int(round(duration * (1.0 - HOLDOUT_FRACTION)))
     outcome = DemoOutcome(scenario=scenario, holdout_start=split,
                           mains_holdout=mains.slice(split, duration))
     modes = sorted({_training_mode(v) for v in variants})

@@ -41,7 +41,11 @@ class ConvLayerSpec:
     stride: int = 1
 
     def __post_init__(self):
-        if self.filters < 1 or self.kernel < 1 or self.stride < 1:
+        fields = (self.filters, self.kernel, self.stride)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in fields):
+            raise ValueError(f"conv layer fields must be integers: {self}")
+        if min(fields) < 1:
             raise ValueError(f"bad conv layer spec: {self}")
 
 

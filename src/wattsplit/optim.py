@@ -1,13 +1,18 @@
 """Named parameters and an Adam optimizer with bias correction."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
 
-__all__ = ["Parameter", "Adam"]
+__all__ = ["Parameter", "Adam", "BETA1", "BETA2", "EPSILON"]
+
+# the defaults of Kingma & Ba (2015), and the only values the program uses
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass
@@ -20,35 +25,36 @@ class Parameter:
 
 
 class Adam:
-    """Adam update rule; holds first/second moment accumulators per name.
+    """Adam update rule; holds one (m, v) moment pair per parameter.
 
     update: m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
             theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
-    Gradients of trainable parameters are cleared after each step. The step
-    counter increments once per ``step()`` call.
+    The moments are updated in place, in the order written above, so the
+    result is bitwise that of the out-of-place formula. They belong to
+    the parameters by position: every step must pass the parameter list
+    of the first step. Gradients of trainable parameters are cleared
+    after each step. The step counter increments once per ``step()`` call.
     """
 
-    def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, learning_rate: float = 1e-3):
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-        if not (0.0 <= beta1 < 1.0) or not (0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self.step_count = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._params: list[Parameter] | None = None
+        self._moments: list[tuple[np.ndarray, np.ndarray]] = []
 
     def step(self, params: list[Parameter]) -> None:
-        names = [p.name for p in params]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate parameter names passed to Adam.step")
+        if self._params is None:
+            self._params = list(params)
+            self._moments = [(np.zeros_like(p.tensor.values), np.zeros_like(p.tensor.values))
+                             for p in params]
+        elif len(params) != len(self._params) or any(
+                p is not q or p.tensor.values.shape != m.shape
+                for p, q, (m, _) in zip(params, self._params, self._moments)):
+            raise ValueError("Adam.step: the parameter list or a parameter's shape "
+                             "changed since the first step")
         for p in params:
             if not p.trainable:
                 continue
@@ -59,29 +65,17 @@ class Adam:
                     f"parameter {p.name!r}: gradient shape "
                     f"{p.tensor.grad.shape} != value shape {p.tensor.values.shape}"
                 )
-            if p.name in self._m and self._m[p.name].shape != p.tensor.values.shape:
-                raise ValueError(
-                    f"parameter {p.name!r}: accumulator shape "
-                    f"{self._m[p.name].shape} != value shape {p.tensor.values.shape}"
-                )
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for p in params:
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        for p, (m, v) in zip(params, self._moments):
             if not p.trainable:
                 continue
             g = p.tensor.grad
-            m = self._m.get(p.name)
-            v = self._v.get(p.name)
-            if m is None:
-                m = np.zeros_like(p.tensor.values)
-                v = np.zeros_like(p.tensor.values)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self._m[p.name] = m
-            self._v[p.name] = v
-            p.tensor.values -= self.learning_rate * (m / bc1) / (
-                np.sqrt(v / bc2) + self.epsilon
-            )
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.tensor.values -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
             p.tensor.grad = None

@@ -1,16 +1,15 @@
-"""Benchmark dataset conventions: grid periods, window sizes, appliance parameters.
+"""Benchmark dataset conventions: grid periods and window sizes.
 
 The two reference corpora use different mains grids, so the same physical
 spans (43.2 min of input context, 3.2 min of output) need different sample
 counts: 6 s readings give s=32, w=200 (input 432); 3 s readings give s=64,
-w=400 (input 864). Appliance state counts and normalization statistics
-follow the published benchmark configuration.
+w=400 (input 864).
 """
 from __future__ import annotations
 
 from .windows import WindowConfig
 
-__all__ = ["GRID_PERIOD_S", "DATASET_WINDOWS", "APPLIANCE_PARAMS", "window_for", "params_for"]
+__all__ = ["GRID_PERIOD_S", "DATASET_WINDOWS", "window_for"]
 
 GRID_PERIOD_S = {"redd": 3, "ukdale": 6}
 
@@ -19,33 +18,8 @@ DATASET_WINDOWS = {
     "ukdale": WindowConfig(s=32, w=200),
 }
 
-# per appliance: states per dataset (absent = not modeled there),
-# normalization mean/std in watts
-APPLIANCE_PARAMS = {
-    "kettle": {"state_count": {"ukdale": 3}, "power_mean": 700.0, "power_std": 1000.0},
-    "microwave": {"state_count": {"redd": 3, "ukdale": 3}, "power_mean": 500.0, "power_std": 800.0},
-    "fridge": {"state_count": {"redd": 4, "ukdale": 4}, "power_mean": 200.0, "power_std": 400.0},
-    "dish_washer": {"state_count": {"redd": 4, "ukdale": 3}, "power_mean": 700.0, "power_std": 1000.0},
-    "washing_machine": {"state_count": {"redd": 3, "ukdale": 4}, "power_mean": 400.0, "power_std": 700.0},
-}
-
 
 def window_for(dataset: str) -> WindowConfig:
     if dataset not in DATASET_WINDOWS:
         raise ValueError(f"unknown dataset {dataset!r}; know {sorted(DATASET_WINDOWS)}")
     return DATASET_WINDOWS[dataset]
-
-
-def params_for(appliance: str, dataset: str) -> dict:
-    if appliance not in APPLIANCE_PARAMS:
-        raise ValueError(f"unknown appliance {appliance!r}")
-    entry = APPLIANCE_PARAMS[appliance]
-    if dataset not in entry["state_count"]:
-        raise ValueError(f"{appliance!r} has no configuration for {dataset!r}")
-    return {
-        "state_count": entry["state_count"][dataset],
-        "power_mean": entry["power_mean"],
-        "power_std": entry["power_std"],
-        "window": window_for(dataset),
-        "period": GRID_PERIOD_S[dataset],
-    }

@@ -113,11 +113,11 @@ def save_csv(series: PowerSeries, path) -> None:
             fh.write(f"{int(t)},{v:.6f}\n")
 
 
-def fill_gaps(series: PowerSeries, short_gap_limit: int = SHORT_GAP_LIMIT_S) -> PowerSeries:
+def fill_gaps(series: PowerSeries) -> PowerSeries:
     """Resolve missing runs: short ones backward-fill, long ones become 0.
 
     A run of k missing samples spans k * period seconds. Runs strictly
-    shorter than ``short_gap_limit`` take the first valid value after the
+    shorter than ``SHORT_GAP_LIMIT_S`` take the first valid value after the
     run (0 when the run touches the end of the series); runs at or above
     the limit become 0. Idempotent; rejects an all-missing series.
     """
@@ -131,7 +131,7 @@ def fill_gaps(series: PowerSeries, short_gap_limit: int = SHORT_GAP_LIMIT_S) -> 
     edges = np.flatnonzero(np.diff(np.concatenate(([0], missing.view(np.int8), [0]))))
     for lo, hi in zip(edges[::2], edges[1::2]):  # run is [lo, hi)
         duration = (hi - lo) * series.period
-        if duration < short_gap_limit and hi < len(vals):
+        if duration < SHORT_GAP_LIMIT_S and hi < len(vals):
             vals[lo:hi] = vals[hi]
         else:
             vals[lo:hi] = 0.0

@@ -23,6 +23,8 @@ __all__ = [
 ]
 
 ON_THRESHOLD_W = 15.0
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 300
 
 
 @dataclass
@@ -49,17 +51,16 @@ class ApplianceStateModel:
         return len(self.centroids)
 
 
-def _kmeans_1d(points: np.ndarray, k: int, seed: int, restarts: int = 10,
-               max_iter: int = 300) -> np.ndarray:
-    """1-D k-means: farthest-point seeding, best SSE over ``restarts``.
+def _kmeans_1d(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """1-D k-means: farthest-point seeding, best SSE over ``KMEANS_RESTARTS``.
 
-    Convergence is declared when the assignment vector stops changing.
-    Deterministic for a given seed.
+    Convergence is declared when the assignment vector stops changing, or
+    after ``KMEANS_MAX_ITER`` iterations. Deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
     best_sse = np.inf
     best_centers = None
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = np.empty(k)
         centers[0] = points[rng.integers(len(points))]
         mindist = np.abs(points - centers[0])
@@ -67,7 +68,7 @@ def _kmeans_1d(points: np.ndarray, k: int, seed: int, restarts: int = 10,
             centers[j] = points[np.argmax(mindist)]
             mindist = np.minimum(mindist, np.abs(points - centers[j]))
         assign = None
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             dist = np.abs(points[:, None] - centers[None, :])
             new_assign = np.argmin(dist, axis=1)
             if assign is not None and np.array_equal(new_assign, assign):

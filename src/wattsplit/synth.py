@@ -161,10 +161,10 @@ def load_scenario(path) -> SyntheticScenario:
     )
 
 
-def demo_scenario(duration: int = 200_000, period: int = 6, seed: int = 7,
-                  noise_std: float = 10.0, unknown_load: float = 20.0) -> SyntheticScenario:
-    """Two appliances at 5% duty: a two-state 150 W heater and a
-    three-state pump drawing 80 or 400 W."""
+def demo_scenario(duration: int = 200_000, seed: int = 7) -> SyntheticScenario:
+    """Two appliances at 5% duty on a 6 s grid: a two-state 150 W heater
+    and a three-state pump drawing 80 or 400 W, under 10 W gaussian noise
+    and a 20 W unmetered load."""
     mean_on = 50.0
     rate = activation_rate_for_duty(0.05, mean_on)
     return SyntheticScenario(
@@ -173,8 +173,8 @@ def demo_scenario(duration: int = 200_000, period: int = 6, seed: int = 7,
             ApplianceSpec("pump", [0.0, 80.0, 400.0], mean_on, rate),
         ],
         duration=duration,
-        period=period,
-        unknown_load=unknown_load,
-        noise_std=noise_std,
+        period=6,
+        unknown_load=20.0,
+        noise_std=10.0,
         seed=seed,
     )

@@ -62,7 +62,6 @@ class EpochStats:
 class TrainReport:
     epochs: list[EpochStats] = field(default_factory=list)
     wall_time_s: float = 0.0
-    checkpoint_path: str | None = None
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -199,7 +198,7 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     if mains.has_missing():
         raise ValueError("mains has missing values; run fill_gaps first")
     cfg = model.config
-    s, l = cfg.window.s, cfg.state_count
+    s = cfg.window.s
     total = len(mains)
     if total < s:
         raise ValueError(f"series length {total} is shorter than the output window {s}")
@@ -231,7 +230,7 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
         denormalize(merged[:, 0], state_model.norm_mean, state_model.norm_std), 0.0)
     states = merged[:, 1:]
     if variant != "plain":
-        states = np.eye(l)[np.argmax(states, axis=1)]
+        states = hard_gate(states)
         if variant in ("median", "hard_median"):
             states = median_filter(states, filter_cfg)
     return DisaggregationResult(

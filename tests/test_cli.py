@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,7 +199,7 @@ class TestTrain:
     def test_config_file_supplies_settings(self, workspace, tmp_path):
         data = workspace / "data"
         cfg = {"window_s": 4, "window_w": 3, "conv_stack": [[3, 3, 1], [4, 3, 1]],
-               "hidden": 8, "epochs": 2,
+               "hidden": 8, "epochs": 2, "tau": 1, "stride": None,
                "mains": str(data / "mains.csv"),
                "appliance": str(data / "heater.csv"),
                "state_model": str(workspace / "heater_model.json")}
@@ -210,6 +212,8 @@ class TestTrain:
         echo = json.loads((out / "effective_config.json").read_text())
         assert echo["epochs"] == 1
         assert echo["window_s"] == 4
+        # an int is accepted where a float is wanted, and becomes that float
+        assert echo["tau"] == 1.0 and isinstance(echo["tau"], float)
         lines = (out / "train_report.csv").read_text().strip().splitlines()
         assert len(lines) == 2
 
@@ -226,6 +230,32 @@ class TestTrain:
                      "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert "unknown config keys" in err and "learnig_rate" in err
+
+
+    @pytest.mark.parametrize("key,value", [
+        ("epochs", "2"),
+        ("epochs", True),
+        ("hidden", 8.5),
+        ("learning_rate", "0.1"),
+        ("shuffle", 1),
+        ("conv_stack", [[16.7, 9, 1]]),
+        ("conv_stack", [16, 9]),
+    ])
+    def test_wrongly_typed_config_value_is_reported(self, workspace, tmp_path,
+                                                    capsys, key, value):
+        data = workspace / "data"
+        cfg = {"window_s": 4, "window_w": 3, "conv_stack": [[3, 3, 1], [4, 3, 1]],
+               "hidden": 8, "epochs": 1,
+               "mains": str(data / "mains.csv"),
+               "appliance": str(data / "heater.csv"),
+               "state_model": str(workspace / "heater_model.json"), key: value}
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+        assert not (out / "checkpoint.ddnn").exists()
 
 
 class TestDisaggregate:
@@ -298,6 +328,36 @@ class TestEvaluate:
         assert main(["evaluate", "--estimate", str(short),
                      "--truth", str(workspace / "data" / "heater.csv")]) == 1
         assert "misaligned" in capsys.readouterr().err
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of each command in the sh block of README's "Command line"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            commands.append(shlex.split(line))
+    return commands
+
+
+class TestReadme:
+    def test_command_line_walkthrough_runs(self, tmp_path, monkeypatch):
+        commands = readme_commands()
+        assert [c[:2] for c in commands] == [
+            ["wattsplit", "synth"], ["wattsplit", "states"], ["wattsplit", "train"],
+            ["wattsplit", "disaggregate"], ["wattsplit", "evaluate"]]
+        save_scenario(small_scenario(), tmp_path / "scenario.json")
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            argv = argv[1:]
+            if argv[0] == "train":
+                # a tiny net; argparse keeps the last --epochs
+                argv += ["--conv-stack", "4x5", "--hidden", "8", "--window-w", "8",
+                         "--epochs", "1"]
+            assert main(argv) == 0, argv
 
 
 class TestParser:

@@ -79,6 +79,13 @@ class TestNetConfig:
     def test_rejects_bad_layer_spec(self):
         with pytest.raises(ValueError, match="conv layer"):
             ConvLayerSpec(0, 3)
+        for fields in ((16.7, 9), (16, 9.0), (16, 9, True)):
+            with pytest.raises(ValueError, match="integers"):
+                ConvLayerSpec(*fields)
+        # lists are converted by NetConfig, numpy integers included
+        cfg = NetConfig(window=WindowConfig(s=4, w=3), state_count=2,
+                        conv_stack=[[3, 3], [np.int64(4), 3, 1]], hidden=4)
+        assert cfg.conv_stack == (ConvLayerSpec(3, 3), ConvLayerSpec(4, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -144,28 +144,9 @@ class TestStateModelIO:
 
 
 class TestBenchmarkPresets:
-    def test_fixture_fridge_configuration(self):
-        doc = json.loads(FIXTURE.read_text())
-        fridge = doc["appliances"]["fridge"]
-        assert fridge["state_count"]["ukdale"] == 4
-        assert fridge["power_mean"] == 200.0
-        assert fridge["power_std"] == 400.0
-
     def test_fixture_matches_presets_module(self):
         doc = json.loads(FIXTURE.read_text())
         assert doc["grid_period_s"] == presets.GRID_PERIOD_S
-        for name, entry in doc["appliances"].items():
-            assert presets.APPLIANCE_PARAMS[name]["state_count"] == {
-                k: int(v) for k, v in entry["state_count"].items()}
-            assert presets.APPLIANCE_PARAMS[name]["power_mean"] == entry["power_mean"]
-            assert presets.APPLIANCE_PARAMS[name]["power_std"] == entry["power_std"]
         for ds, win in doc["windows"].items():
             cfg = presets.window_for(ds)
             assert (cfg.s, cfg.w) == (win["s"], win["w"])
-
-    def test_params_for(self):
-        p = presets.params_for("fridge", "ukdale")
-        assert p["state_count"] == 4 and p["period"] == 6
-        assert p["window"].input_length == 432
-        with pytest.raises(ValueError, match="kettle"):
-            presets.params_for("kettle", "redd")
