@@ -1,10 +1,11 @@
 """Reverse-mode autodiff kernel on float64 numpy arrays.
 
 Implements exactly the operations the disaggregation nets need: valid 1-D
-convolution, dense layers, relu/sigmoid/softmax, mean squared error and
-categorical cross entropy. Every operation records a backward closure on a
-tape; calling ``backward()`` on a scalar result walks the tape in reverse
-topological order and accumulates gradients into ``Tensor.grad``.
+convolution, a gather of flattened feature windows, dense layers,
+relu/sigmoid/softmax, mean squared error and categorical cross entropy.
+Every operation records a backward closure on a tape; calling
+``backward()`` on a scalar result walks the tape in reverse topological
+order and accumulates gradients into ``Tensor.grad``.
 
 Inputs may be ``Tensor`` instances or anything ``np.asarray`` accepts;
 plain arrays are lifted to constant tensors (they still receive gradients,
@@ -12,12 +13,15 @@ which are simply never read).
 """
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
     "conv1d",
+    "window_gather",
     "dense",
     "relu",
     "sigmoid",
@@ -28,6 +32,7 @@ __all__ = [
     "mse_loss",
     "cross_entropy_loss",
     "release_tape",
+    "keep_freed_memory",
     "CROSS_ENTROPY_CLIP",
 ]
 
@@ -91,6 +96,32 @@ def release_tape(root: Tensor) -> None:
         node = stack.pop()
         stack.extend(node._parents)
         node._parents, node._backward = (), None
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_memory() -> None:
+    """Make glibc's allocator keep the memory of released tapes in the process.
+
+    ``release_tape`` frees a step's arrays at once. By default glibc then
+    trims the emptied heap and unmaps the large arrays, so the next training
+    step or inference batch page-faults the same memory in again. This
+    serves arrays below 32 MiB from the heap and never trims it, which the
+    whole process keeps. It does nothing where the C library is not glibc.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no process-wide symbol table to search
+        return
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def _lift(x) -> Tensor:
@@ -158,6 +189,44 @@ def conv1d(x, kernels, bias, stride: int = 1) -> Tensor:
             g_x[:, :, j : j + stride * out_len : stride] += g_cols[
                 :, :, :, j
             ].transpose(0, 2, 1)
+        _accumulate(x, g_x)
+
+    out._backward = _bwd
+    return out
+
+
+def window_gather(x, rows, offsets, width: int) -> Tensor:
+    """Flattened windows cut from shared rows of a feature map.
+
+    x: [rows, channels, length]; rows, offsets: integer arrays [batch].
+    out[b] = x[rows[b], :, offsets[b] : offsets[b] + width] flattened
+    channel-major to [channels * width]. Windows may overlap and may share
+    a row; the backward pass sums the gradients of every window that read
+    a position.
+    """
+    x = _lift(x)
+    xv = x.values
+    rows, offsets = np.asarray(rows), np.asarray(offsets)
+    if xv.ndim != 3:
+        raise ValueError(f"window_gather: input must be 3-D [rows, channels, length], "
+                         f"got shape {xv.shape}")
+    n_rows, channels, length = xv.shape
+    if rows.ndim != 1 or rows.shape != offsets.shape:
+        raise ValueError(f"window_gather: rows {rows.shape} and offsets "
+                         f"{offsets.shape} must be equal 1-D shapes")
+    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows or offsets.min() < 0
+                      or offsets.max() > length - width):
+        raise ValueError(f"window_gather: a window of width {width} falls outside "
+                         f"the input of shape {xv.shape}")
+    batch = len(rows)
+    windows = sliding_window_view(xv, width, axis=2)[rows, :, offsets]  # [B,C,width]
+    out = Tensor(windows.reshape(batch, channels * width), (x,))
+
+    def _bwd():
+        g = out.grad.reshape(batch, channels, width)
+        g_x = np.zeros_like(xv)
+        for b in range(batch):  # in window order; overlapping windows add up
+            g_x[rows[b], :, offsets[b] : offsets[b] + width] += g[b]
         _accumulate(x, g_x)
 
     out._backward = _bwd

@@ -16,6 +16,7 @@ both round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -121,6 +122,14 @@ def load_checkpoint(path) -> DisaggNet:
             tau=float(fields["tau"]),
             seed=int(fields["seed"]),
         )
+        # checked before DisaggNet allocates the parameters the header implies
+        implied = 8 * config.parameter_count()
+        remaining = os.fstat(fh.fileno()).st_size - r.offset
+        if implied > remaining:
+            raise ValueError(
+                f"truncated checkpoint: its config implies {implied} bytes of "
+                f"parameter values, but only {remaining} bytes follow it"
+            )
         model = DisaggNet(config)
         model.epochs_seen = int(fields["epochs_seen"])
         model.dataset_tag = fields["dataset_tag"]

@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
+from .autodiff import keep_freed_memory
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import ApplianceMetrics, MetricReport, evaluate_pair
 from .model import DEFAULT_CONV_STACK, DisaggNet, NetConfig
@@ -73,16 +75,19 @@ def _check_setting(key: str, value) -> None:
 
 
 def _parse_conv_stack(value: str) -> list[list[int]]:
-    """Parse the --conv-stack flag form "16x9,16x7@2" (filters x kernel[@stride])."""
+    """Parse the --conv-stack flag form "16x9,16x7@2" (filters x kernel[@stride]).
+
+    A malformed layer is an error that names the flag and the layer.
+    """
     layers = []
     for part in value.split(","):
-        part = part.strip()
-        stride = 1
-        if "@" in part:
-            part, stride_text = part.split("@", 1)
-            stride = int(stride_text)
-        filters_text, kernel_text = part.split("x", 1)
-        layers.append([int(filters_text), int(kernel_text), stride])
+        match = re.fullmatch(r"\s*([1-9][0-9]*)x([1-9][0-9]*)(?:@([1-9][0-9]*))?\s*",
+                             part)
+        if match is None:
+            raise ValueError(f"--conv-stack: layer {part.strip()!r} of {value!r} is not "
+                             "filters x kernel[@stride] with positive integers, "
+                             'e.g. "16x7@2"')
+        layers.append([int(g) for g in match.groups("1")])
     return layers
 
 
@@ -163,6 +168,8 @@ def cmd_states(args) -> int:
 
 def cmd_train(args) -> int:
     st = _merge_settings(args)
+    if isinstance(st["conv_stack"], str):  # parsed before any input file is read
+        st["conv_stack"] = _parse_conv_stack(st["conv_stack"])
     for required in ("mains", "appliance", "state_model"):
         if st[required] is None:
             raise ValueError(f"train: --{required.replace('_', '-')} is required "
@@ -172,12 +179,10 @@ def cmd_train(args) -> int:
     mains = _load_series(st["mains"], st["period"])
     appliance = _load_series(st["appliance"], st["period"])
     window = WindowConfig(st["window_s"], st["window_w"])
-    conv_stack = st["conv_stack"]
     net = DisaggNet(NetConfig(
         window=window,
         state_count=state_model.state_count,
-        conv_stack=(_parse_conv_stack(conv_stack) if isinstance(conv_stack, str)
-                    else conv_stack),
+        conv_stack=st["conv_stack"],
         hidden=st["hidden"],
         tau=st["tau"],
         seed=st["seed"],
@@ -311,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    keep_freed_memory()  # train and disaggregate free each tape as they go
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError, KeyError) as exc:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import keep_freed_memory
 from .metrics import ApplianceMetrics, evaluate_pair
 from .model import ConvLayerSpec, DisaggNet, NetConfig
 from .series import PowerSeries
@@ -95,6 +96,7 @@ def run_demo(duration: int = 200_000, seed: int = 7, epochs: int = 10,
     steps x lr covers the distance. ``infer_stride`` spaces the evaluation
     windows, averaging overlapping estimates.
     """
+    keep_freed_memory()  # training and inference free each tape as they go
     scenario = demo_scenario(duration=duration, seed=seed)
     mains, traces, state_seqs = generate(scenario)
     split = int(round(duration * (1.0 - HOLDOUT_FRACTION)))

@@ -94,6 +94,21 @@ class NetConfig:
             length = (length - layer.kernel) // layer.stride + 1
         return length
 
+    def parameter_count(self) -> int:
+        """Float values in both subnetworks of a ``DisaggNet`` of this config."""
+        trunk, cin = 0, 1
+        for layer in self.conv_stack:
+            trunk += layer.filters * (cin * layer.kernel + 1)
+            cin = layer.filters
+        trunk += self.hidden * (cin * self.feature_length() + 1)
+        heads = (self.hidden + 1) * (self.state_count + self.window.s * self.state_count)
+        return 2 * trunk + heads
+
+    def feature_stride(self) -> int:
+        """Input samples per step of the conv stack's output: the product of
+        the layer strides."""
+        return int(np.prod([layer.stride for layer in self.conv_stack]))
+
 
 @dataclass
 class ForwardPass:
@@ -142,8 +157,8 @@ class _Subnet:
                 f"{prefix}/conv{i}/bias",
                 Tensor(np.full(layer.filters, HIDDEN_BIAS_INIT))))
             cin = layer.filters
-        flat = cfg.conv_stack[-1].filters * cfg.feature_length()
-        self.flat_width = flat
+        self.feature_length = cfg.feature_length()
+        flat = cfg.conv_stack[-1].filters * self.feature_length
         self.params.append(Parameter(
             f"{prefix}/fc/weights",
             Tensor(_glorot(rng, (cfg.hidden, flat), flat, cfg.hidden))))
@@ -154,15 +169,20 @@ class _Subnet:
             Tensor(_glorot(rng, (head_width, cfg.hidden), cfg.hidden, head_width))))
         self.params.append(Parameter(f"{prefix}/head/bias", Tensor(np.zeros(head_width))))
 
-    def forward(self, x: Tensor) -> Tensor:
-        """x: [B, 1, input_length] -> [B, head_width]."""
+    def forward(self, x: Tensor, rows: np.ndarray,
+                feature_offsets: np.ndarray) -> Tensor:
+        """x: [R, 1, L] input rows -> [B, head_width], one output per window.
+
+        The conv stack runs once over each row; window b reads the
+        feature_length conv outputs of row ``rows[b]`` that start at
+        ``feature_offsets[b]``.
+        """
         h = x
         it = iter(self.params)
         for layer in self.cfg.conv_stack:
             kern, bias = next(it), next(it)
             h = ad.relu(ad.conv1d(h, kern.tensor, bias.tensor, stride=layer.stride))
-        batch = h.values.shape[0]
-        h = ad.reshape(h, (batch, self.flat_width))
+        h = ad.window_gather(h, rows, feature_offsets, self.feature_length)
         fc_w, fc_b = next(it), next(it)
         h = ad.relu(ad.dense(h, fc_w.tensor, fc_b.tensor))
         head_w, head_b = next(it), next(it)
@@ -184,23 +204,38 @@ class DisaggNet:
     def parameters(self) -> list[Parameter]:
         return self.power_net.params + self.state_net.params
 
-    def _check_batch(self, inputs: np.ndarray) -> np.ndarray:
-        x = np.asarray(inputs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.config.window.input_length:
-            raise ValueError(
-                f"expected inputs [batch, {self.config.window.input_length}], "
-                f"got shape {x.shape}"
-            )
-        return x
+    def forward_tensors(self, inputs: np.ndarray, rows=None,
+                        offsets=None) -> ForwardPass:
+        """Batched forward pass on the tape.
 
-    def forward_tensors(self, inputs: np.ndarray) -> ForwardPass:
-        """Batched forward pass on the tape. inputs: [B, s + 2w]."""
-        x = self._check_batch(inputs)
-        batch = x.shape[0]
+        inputs: [R, L] normalized mains rows, each holding one or more
+        overlapping input windows of s + 2w samples. Window b starts at
+        sample ``offsets[b]`` of row ``rows[b]``; an offset must be a
+        multiple of the conv stack's total stride, so that the window's
+        conv outputs are a slice of its row's. Each conv stack runs once
+        per row, and the windows share the convolutions of their overlap.
+        By default every row is one window at offset 0 (L = s + 2w);
+        ``trainer.disaggregate`` says when a shared row changes bits.
+        """
+        x = np.asarray(inputs, dtype=np.float64)
+        n = self.config.window.input_length
+        if x.ndim != 2 or x.shape[1] < n or (rows is None and x.shape[1] != n):
+            raise ValueError(f"expected inputs [batch, {n}] or rows [R, >= {n}], "
+                             f"got shape {x.shape}")
+        if rows is None:
+            rows, offsets = np.arange(len(x)), np.zeros(len(x), dtype=np.int64)
+        offsets = np.asarray(offsets)
+        step = self.config.feature_stride()
+        if np.any(offsets % step):
+            raise ValueError(f"window offsets must be multiples of the conv "
+                             f"stack's total stride {step}")
+        feature_offsets = offsets // step
+        batch = len(rows)
         s, l = self.config.window.s, self.config.state_count
         xt = Tensor(x[:, None, :])
-        ratings = self.power_net.forward(xt)
-        logits = ad.reshape(self.state_net.forward(xt), (batch, s, l))
+        ratings = self.power_net.forward(xt, rows, feature_offsets)
+        logits = ad.reshape(self.state_net.forward(xt, rows, feature_offsets),
+                            (batch, s, l))
         probs = ad.softmax(logits)
         return ForwardPass(ratings, logits, probs, combine(ratings, probs))
 

@@ -12,7 +12,7 @@ from .postprocess import (FilterConfig, combine_hard, hard_gate, median_filter,
                           reconcile_overlaps, sample_gumbel)
 from .series import PowerSeries, denormalize, normalize
 from .states import ApplianceStateModel
-from .windows import WindowedExample, input_window
+from .windows import WindowConfig, WindowedExample, input_window, shared_rows
 
 __all__ = [
     "VARIANTS",
@@ -106,7 +106,8 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
     ``tau = 1`` (the default, and the canned demo's value) they are noisy
     soft mixtures, not a near-discrete gate. The cross-entropy term always
     sees the clean softmax. Median filtering never appears in the gradient
-    path. Deterministic for a given seed.
+    path. Deterministic for a given seed. Each step's tape is unlinked
+    after the update, so its memory is freed by reference counting.
     """
     from .optim import Adam
 
@@ -132,6 +133,7 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
         for batch_index, lo in enumerate(range(0, n, cfg.batch_size)):
             sel = order[lo : lo + cfg.batch_size]
             fwd = model.forward_tensors(inputs[sel])
+            clean_combined = fwd.combined  # off the loss's tape in the hard variants
             if hard_training:
                 g = sample_gumbel(fwd.state_logits.shape, gumbel_rng)
                 noisy = ad.softmax(ad.scale(ad.add(fwd.state_logits, g),
@@ -146,6 +148,9 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
                 )
             loss.backward()
             optimizer.step(params)
+            # freed now, not at the cycle collector's next pass
+            ad.release_tape(loss)
+            ad.release_tape(clean_combined)
             weight = len(sel)
             sums += weight * np.array([float(loss.values), float(out_term.values),
                                        float(state_term.values)])
@@ -177,10 +182,24 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     misses the last valid start. Each batch of ``batch_size`` windows runs
     as one pipeline over ``[B, s, l]`` state rows: gather -> forward ->
     argmax gate (hard variants) -> median filter along each window's own
-    s rows (median variants) -> combine. One merge sums the power column
-    and the state rows of every window, batch by batch in window order,
-    into ``[T, 1 + l]`` and takes the per-position mean; the power is then
-    denormalized and clamped at 0 W.
+    s rows (median variants) -> combine.
+
+    Overlapping windows share one conv pass. The gather reads the mains
+    span the batch covers, ``[first start - w, last start + s + w)``, as
+    one input row; each conv stack runs once over that row, and every
+    window takes its conv features from the row's feature map at its own
+    offset (``windows.shared_rows``). Under a conv stack whose strides
+    multiply to P, only windows whose starts differ by a multiple of P
+    share a row. At the canned demo's stride of 16 a batch of 256 windows
+    convolves 4,192 samples instead of 256 x 112. The outputs are bitwise
+    those of one conv pass per window at the canned demo's and the
+    paper-size stacks. Where a window's conv product is small (a stride-2
+    layer with 49 outputs per window), OpenBLAS can round it differently
+    from the row's, and the outputs differ in the last bits.
+
+    One merge sums the power column and the state rows of every window,
+    batch by batch in window order, into ``[T, 1 + l]`` and takes the
+    per-position mean; the power is then denormalized and clamped at 0 W.
 
     The returned state sequence is that position mean of the per-window
     rows; hard variants re-harden the merged rows by argmax, and median
@@ -191,7 +210,7 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     Model parameters are never modified. The output bits depend on
     ``batch_size`` as well as on the BLAS thread count: OpenBLAS rounds a
     forward pass differently for different batch sizes, by up to 1.1e-13 W
-    in the estimate of the canned demo's net.
+    in the estimate of a demo-size net.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -216,13 +235,18 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     def window_outputs():
         for lo in range(0, len(starts), batch_size):
             chunk = starts[lo : lo + batch_size]
-            out = model.predict(input_window(norm, chunk, cfg.window, pad))
-            rows, values = out.state_probs, out.combined
+            row_starts, window_row, offsets, extent = shared_rows(
+                chunk, cfg.window, cfg.feature_stride())
+            inputs = input_window(norm, row_starts,
+                                  WindowConfig(extent + s, cfg.window.w), pad)
+            fwd = model.forward_tensors(inputs, window_row, offsets)
+            ad.release_tape(fwd.combined)  # freed now, not by the cycle collector
+            rows, values = fwd.state_probs.values, fwd.combined.values
             if variant != "plain":
                 rows = hard_gate(rows)
                 if variant in ("median", "hard_median"):
                     rows = median_filter(rows, filter_cfg)
-                values = combine_hard(out.ratings, rows)
+                values = combine_hard(fwd.ratings.values, rows)
             yield from zip(chunk, np.concatenate([values[..., None], rows], axis=-1))
 
     merged = reconcile_overlaps(window_outputs(), total)

@@ -15,7 +15,8 @@ import numpy as np
 from .series import PowerSeries, normalize
 from .states import ApplianceStateModel, label_states
 
-__all__ = ["WindowConfig", "WindowedExample", "make_windows", "input_window"]
+__all__ = ["WindowConfig", "WindowedExample", "make_windows", "input_window",
+           "shared_rows"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,30 @@ def input_window(values: np.ndarray, start, cfg: WindowConfig,
     out = values.take(idx, mode="clip") if len(values) else np.empty(idx.shape)
     out[(idx < 0) | (idx >= len(values))] = pad_value
     return out
+
+
+def shared_rows(starts, cfg: WindowConfig, period: int):
+    """Group the windows at ascending ``starts`` into shared input rows.
+
+    A window joins the row of the previous window whose start differs from
+    its own by a multiple of ``period`` (a conv stack's total stride), when
+    their input windows overlap or touch; otherwise it opens a row. Returns
+    ``(row_starts, rows, offsets, extent)``: row r covers the input windows
+    at row_starts[r] + [0, extent] (``input_window`` with
+    ``WindowConfig(extent + s, w)``), and window b starts ``offsets[b]``
+    samples into row ``rows[b]``, a multiple of ``period``.
+    """
+    starts = np.asarray(starts)
+    order = np.argsort((starts - starts[0]) % period, kind="stable")
+    ordered = starts[order]
+    opens = np.ones(len(starts), dtype=bool)
+    opens[1:] = ((np.diff(ordered) % period != 0)
+                 | (np.diff(ordered) > cfg.input_length))
+    rows = np.empty(len(starts), dtype=np.int64)
+    rows[order] = np.cumsum(opens) - 1
+    row_starts = ordered[opens]
+    offsets = starts - row_starts[rows]
+    return row_starts, rows, offsets, int(offsets.max())
 
 
 def make_windows(mains: PowerSeries, appliance: PowerSeries,

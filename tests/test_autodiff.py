@@ -9,7 +9,7 @@ from conftest import (central_difference, conv1d_scalar, cross_entropy_scalar,
                       relative_error)
 from wattsplit.autodiff import (Tensor, add, conv1d, cross_entropy_loss, dense,
                                 mse_loss, release_tape, relu, reshape, scale, sigmoid,
-                                softmax)
+                                softmax, window_gather)
 
 FD_TOL = 1e-5
 
@@ -149,6 +149,48 @@ class TestConv1d:
             return float(np.mean(o ** 2))
 
         assert relative_error(xt.grad, central_difference(f, x)) < FD_TOL
+
+
+class TestWindowGather:
+    def test_matches_slicing_loop(self, rng):
+        x = rng.normal(size=(2, 3, 11))
+        rows, offsets = np.array([0, 1, 0, 0]), np.array([0, 2, 5, 5])
+        out = window_gather(Tensor(x), rows, offsets, 4)
+        assert out.shape == (4, 12)
+        for b in range(4):
+            np.testing.assert_array_equal(
+                out.values[b], x[rows[b], :, offsets[b] : offsets[b] + 4].ravel())
+
+    def test_one_window_per_row_is_a_reshape(self, rng):
+        x = rng.normal(size=(3, 2, 5))
+        out = window_gather(Tensor(x), np.arange(3), np.zeros(3, dtype=int), 5)
+        assert out.values.tobytes() == x.reshape(3, 10).tobytes()
+
+    def test_gradients_match_finite_differences(self, rng):
+        # overlapping windows on two of three rows, offset 1 of row 0 read
+        # twice, and row 2 read by no window (its gradient is zero)
+        x = rng.normal(size=(3, 2, 9))
+        rows = np.array([0, 0, 1, 0, 1, 0])
+        offsets = np.array([1, 3, 0, 1, 4, 5])
+        weight = rng.normal(size=(6, 8))
+
+        def f(v):
+            return float(np.sum(window_gather(Tensor(v), rows, offsets, 4).values
+                                * weight))
+
+        xt = Tensor(x)
+        out = window_gather(xt, rows, offsets, 4)
+        loss = mse_loss(out, out.values - weight / 2.0)  # grad = weight / size
+        loss.backward()
+        fd = central_difference(f, x) / out.values.size
+        assert relative_error(xt.grad, fd) < FD_TOL
+        assert not np.any(xt.grad[2])
+
+    @pytest.mark.parametrize("rows,offsets", [([2], [0]), ([0], [-1]), ([0], [8])])
+    def test_window_outside_input_rejected(self, rows, offsets):
+        with pytest.raises(ValueError, match=r"outside.*\(2, 1, 11\)"):
+            window_gather(Tensor(np.zeros((2, 1, 11))), np.array(rows),
+                          np.array(offsets), 4)
 
 
 class TestDense:

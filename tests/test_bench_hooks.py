@@ -5,7 +5,8 @@
 ``DisaggNet.forward_tensors``, ...). A deleted or renamed name would break
 only a traced bench run; this test makes it fail here instead, by running
 a tiny synth -> states -> train -> disaggregate pipeline through
-``cli.main`` under the tracer.
+``cli.main`` under the tracer, and checks that the disaggregation's
+forward pass is timed.
 """
 from __future__ import annotations
 
@@ -49,15 +50,23 @@ def test_tracer_wraps_a_whole_cli_pipeline(tmp_path, monkeypatch):
             ["train", "--mains", str(data / "mains.csv"),
              "--appliance", str(data / "heater.csv"), "--state-model", str(states),
              "--out", str(model), "--variant", "hard", "--epochs", "1", *NET],
-            ["disaggregate", "--checkpoint", str(model / "checkpoint.ddnn"),
-             "--mains", str(data / "mains.csv"), "--state-model", str(states),
-             "--variant", "hard-median", "--out", str(out)],
         ]
         for argv in runs:
             assert cli.main(argv) == 0, argv
+        # overlapping windows (stride < s = 32), traced as the bench's job phase
+        tracer.phase = "job"
+        assert cli.main(["disaggregate", "--checkpoint", str(model / "checkpoint.ddnn"),
+                         "--mains", str(data / "mains.csv"), "--state-model", str(states),
+                         "--variant", "hard-median", "--stride", "7",
+                         "--out", str(out)]) == 0
     finally:
         tracer.uninstall()
 
+    job = tracer.by_phase()["job"]
+    forward = sum(job.get(name, {"total_s": 0.0})["total_s"]
+                  for name in ("model.predict", "model.forward_tensors"))
+    assert forward > 0
+    assert job["autodiff.conv1d_fwd"]["total_s"] > 0
     metrics = tracer.per_layer(setups=1, rounds=1)
     assert _benchmark_per_layer_names() <= set(metrics)
     assert metrics["optim.adam_steps"][0] > 0

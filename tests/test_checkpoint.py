@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from wattsplit import checkpoint
 from wattsplit.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from wattsplit.model import ConvLayerSpec, DisaggNet, NetConfig
 from wattsplit.windows import WindowConfig
@@ -154,6 +155,27 @@ class TestCorruption:
         bad.write_bytes(blob[:at] + new + blob[at + 5 :])
         with pytest.raises(ValueError, match="does not match config shape"):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("key,value", [
+        ("hidden", "1000000000"),
+        ("state_count", "100000000"),
+        ("s", "100000000"),
+        ("conv_stack", "[[1000000000, 3, 1], [4, 3, 1]]"),
+    ])
+    def test_oversized_config_rejected_before_allocation(self, tmp_path, monkeypatch,
+                                                         key, value):
+        # a small net's parameters under a header that claims a huge net
+        entries = checkpoint._config_entries
+        monkeypatch.setattr(checkpoint, "_config_entries", lambda model: [
+            (k, value if k == key else v) for k, v in entries(model)])
+        path = tmp_path / "bad.ddnn"
+        save_checkpoint(small_net(), path)
+
+        def refuse(config):
+            raise AssertionError(f"DisaggNet built for {config}")
+        monkeypatch.setattr(checkpoint, "DisaggNet", refuse)
+        with pytest.raises(ValueError, match=r"implies \d+ bytes.*only \d+ bytes"):
+            load_checkpoint(path)
 
     def test_garbage_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.ddnn"

@@ -258,6 +258,28 @@ class TestTrain:
         assert not (out / "checkpoint.ddnn").exists()
 
 
+    @pytest.mark.parametrize("stack,bad", [("16x", "16x"), ("16", "16"),
+                                           ("16x9,0x7", "0x7"), ("16x9,16x7@", "16x7@")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_malformed_conv_stack_is_reported_before_reading_inputs(
+            self, tmp_path, capsys, stack, bad, source):
+        # the input paths do not exist: an error about them would mean they
+        # were opened before the stack was parsed
+        missing = str(tmp_path / "missing.csv")
+        argv = ["train", "--mains", missing, "--appliance", missing,
+                "--state-model", str(tmp_path / "missing.json"),
+                "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--conv-stack", stack]
+        else:
+            cfg_path = tmp_path / "train.json"
+            cfg_path.write_text(json.dumps({"conv_stack": stack}))
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --conv-stack") and repr(bad) in err
+
+
 class TestDisaggregate:
     def test_writes_estimate_and_states(self, workspace):
         est = workspace / "est"

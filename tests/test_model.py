@@ -102,6 +102,14 @@ class TestParameters:
         assert "power/conv0/kernels" in names
         assert "state/head/bias" in names
 
+    @pytest.mark.parametrize("stack", [((3, 3), (4, 3)), ((3, 3), (4, 3, 2)),
+                                       DEFAULT_CONV_STACK])
+    def test_parameter_count_matches_the_built_net(self, stack):
+        cfg = NetConfig(window=WindowConfig(s=32, w=40), state_count=3,
+                        conv_stack=stack, hidden=6)
+        built = sum(p.tensor.values.size for p in DisaggNet(cfg).parameters())
+        assert cfg.parameter_count() == built
+
     def test_head_shapes(self):
         cfg = tiny_config()
         net = DisaggNet(cfg)
@@ -192,6 +200,29 @@ class TestForward:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("stack", [((3, 3), (4, 3)), ((3, 3, 2), (4, 3))])
+    def test_windows_sharing_rows_match_one_row_per_window(self, rng, stack):
+        cfg = NetConfig(window=WindowConfig(s=4, w=3), state_count=3,
+                        conv_stack=stack, hidden=8)
+        net = DisaggNet(cfg)
+        n = cfg.window.input_length
+        x = rng.normal(size=(2, n + 6))
+        rows, offsets = np.array([0, 1, 0, 0, 1]), np.array([0, 2, 6, 2, 4])
+        shared = net.forward_tensors(x, rows, offsets)
+        single = net.forward_tensors(np.stack([x[r, o : o + n]
+                                               for r, o in zip(rows, offsets)]))
+        for a, b in ((shared.ratings, single.ratings),
+                     (shared.state_probs, single.state_probs),
+                     (shared.combined, single.combined)):
+            np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-14)
+
+    def test_rejects_offset_off_the_conv_stride(self, rng):
+        cfg = NetConfig(window=WindowConfig(s=4, w=3), state_count=3,
+                        conv_stack=((3, 3), (4, 3, 2)), hidden=8)
+        x = rng.normal(size=(1, cfg.window.input_length + 3))
+        with pytest.raises(ValueError, match="multiples of .* stride 2"):
+            DisaggNet(cfg).forward_tensors(x, np.array([0]), np.array([1]))
 
     def test_rejects_wrong_batch_shape(self, rng):
         net = DisaggNet(tiny_config())

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import combine_scalar, median_filter_scalar
 from wattsplit.model import ConvLayerSpec, DisaggNet, NetConfig, total_loss
-from wattsplit.postprocess import FilterConfig
+from wattsplit.postprocess import FilterConfig, reconcile_overlaps
 from wattsplit.series import PowerSeries, denormalize, normalize
 from wattsplit.states import ApplianceStateModel
 from wattsplit.trainer import (
@@ -23,11 +23,16 @@ S, W, L = 4, 3, 3
 INPUT_LEN = S + 2 * W
 
 
-def tiny_net(seed=0) -> DisaggNet:
+TINY_STACK = (ConvLayerSpec(3, 3), ConvLayerSpec(4, 3))
+# total stride 2: windows at odd offsets from each other cannot share a row
+STRIDED_STACK = (ConvLayerSpec(3, 3), ConvLayerSpec(4, 3, 2))
+
+
+def tiny_net(seed=0, conv_stack=TINY_STACK) -> DisaggNet:
     return DisaggNet(NetConfig(
         window=WindowConfig(s=S, w=W),
         state_count=L,
-        conv_stack=(ConvLayerSpec(3, 3), ConvLayerSpec(4, 3)),
+        conv_stack=conv_stack,
         hidden=8,
         seed=seed,
     ))
@@ -125,6 +130,20 @@ class TestTrain:
             train(net, make_examples(6), TrainConfig(epochs=4, seed=3))
             runs.append(param_bytes(net))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("variant", ["plain", "hard"])
+    def test_training_leaves_no_reference_cycles(self, variant):
+        import gc
+        net, examples = tiny_net(), make_examples(6)
+        gc.collect()
+        gc.disable()
+        try:
+            train(net, examples, TrainConfig(epochs=2, batch_size=4, variant=variant,
+                                             lambda_power=0.5),
+                  centroid_targets=np.zeros(L))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_seed_changes_shuffle_order(self):
         outs = []
@@ -338,11 +357,19 @@ class TestDisaggregate:
             disaggregate(tiny_net(), make_mains(), heater_model(), stride=0)
 
     def test_rejects_stride_beyond_window_before_any_forward_pass(self):
-        net = tiny_net()
+        net, mains, sm = tiny_net(), make_mains(), heater_model()
         calls = []
-        net.predict = lambda inputs: calls.append(inputs)
+        forward = net.forward_tensors
+
+        def watched(*args, **kwargs):
+            calls.append(args)
+            return forward(*args, **kwargs)
+        net.forward_tensors = watched
+        disaggregate(net, mains, sm, stride=S)
+        assert len(calls) == 1  # the watch sees the forward pass
+        calls.clear()
         with pytest.raises(ValueError, match=rf"stride.*s={S}.*got {S + 1}"):
-            disaggregate(net, make_mains(), heater_model(), stride=S + 1)
+            disaggregate(net, mains, sm, stride=S + 1)
         assert calls == []
 
 
@@ -379,12 +406,13 @@ def per_window_oracle(net, mains, sm, variant, stride, median_window=5):
 
 
 class TestDisaggregateMatchesPerWindowOracle:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("stride,batch_size", [(1, 4), (3, 4), (None, 5)])
-    def test_batched_pipeline_matches(self, variant, stride, batch_size):
-        # 45 samples: stride 3 and stride s=4 both need a tail window, and
-        # no batch size here divides the window count
-        net, mains, sm = tiny_net(seed=3), make_mains(total=45, seed=8), heater_model()
+    # 45 samples: stride 3 and stride s=4 both need a tail window, and no
+    # batch size here divides the window count
+    CASES = [(1, 4), (3, 4), (None, 5)]
+
+    @staticmethod
+    def check(net, variant, stride, batch_size):
+        mains, sm = make_mains(total=45, seed=8), heater_model()
         res = disaggregate(net, mains, sm, variant, stride=stride,
                            filter_cfg=FilterConfig(median_window=3),
                            batch_size=batch_size)
@@ -396,3 +424,37 @@ class TestDisaggregateMatchesPerWindowOracle:
             np.testing.assert_allclose(res.states, states, rtol=0, atol=1e-12)
         else:
             np.testing.assert_array_equal(res.states, states)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("stride,batch_size", CASES)
+    def test_batched_pipeline_matches(self, variant, stride, batch_size):
+        self.check(tiny_net(seed=3), variant, stride, batch_size)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("stride,batch_size", CASES)
+    def test_strided_conv_stack_matches(self, variant, stride, batch_size):
+        # total conv stride 2: at strides 1 and 3 a batch holds windows of
+        # both parities, which read separate rows
+        self.check(tiny_net(seed=3, conv_stack=STRIDED_STACK), variant, stride,
+                   batch_size)
+
+    def test_demo_size_is_bitwise_per_window_predict(self):
+        # the canned demo's net and inference stride: sharing each batch's
+        # conv pass changes no bit of the windows' batched ``predict``
+        net = DisaggNet(NetConfig(WindowConfig(32, 40), L, ((16, 9), (16, 7), (24, 5)),
+                                  hidden=96, seed=4))
+        mains, sm = make_mains(total=3011, seed=9), heater_model()
+        res = disaggregate(net, mains, sm, "plain", stride=16)
+        norm = normalize(mains, sm.norm_mean, sm.norm_std)
+        pad = normalize(np.zeros(1), sm.norm_mean, sm.norm_std)[0]
+        starts = np.append(np.arange(0, len(mains) - 32 + 1, 16), len(mains) - 32)
+        outputs = []
+        for lo in range(0, len(starts), 256):
+            chunk = starts[lo : lo + 256]
+            out = net.predict(input_window(norm, chunk, net.config.window, pad))
+            outputs += zip(chunk, np.concatenate([out.combined[..., None],
+                                                  out.state_probs], axis=-1))
+        merged = reconcile_overlaps(outputs, len(mains))
+        estimate = np.maximum(denormalize(merged[:, 0], sm.norm_mean, sm.norm_std), 0.0)
+        assert res.estimate.values.tobytes() == estimate.tobytes()
+        assert res.states.tobytes() == merged[:, 1:].tobytes()

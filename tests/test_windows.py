@@ -4,7 +4,7 @@ import pytest
 
 from wattsplit.series import PowerSeries, denormalize
 from wattsplit.states import ApplianceStateModel
-from wattsplit.windows import WindowConfig, input_window, make_windows
+from wattsplit.windows import WindowConfig, input_window, make_windows, shared_rows
 
 
 def simple_model(mean=50.0, std=100.0):
@@ -71,6 +71,30 @@ class TestInputWindow:
         for idx in np.ndindex(starts.shape):
             np.testing.assert_array_equal(
                 out[idx], input_window(vals, int(starts[idx]), cfg, pad_value=-9.0))
+
+
+class TestSharedRows:
+    @pytest.mark.parametrize("starts,period,row_count", [
+        ([0, 1, 2, 3, 4, 5], 1, 1),
+        ([0, 3, 6, 9, 12, 14], 2, 2),     # one row of even and one of odd starts
+        ([0, 4, 8, 12, 15], 2, 2),        # an odd tail gets its own row
+        ([0, 3, 6, 9, 12, 14], 4, 5),     # 0 and 12 (0 mod 4) are 12 apart
+        ([0, 11, 22, 33], 1, 4),          # gaps wider than a window share nothing
+        ([0, 10, 20], 5, 1),              # touching windows share a row
+        ([7], 4, 1),
+    ])
+    def test_every_window_is_read_from_its_row(self, starts, period, row_count):
+        cfg = WindowConfig(4, 3)  # input length 10
+        vals = np.arange(40, dtype=float)
+        row_starts, rows, offsets, extent = shared_rows(np.array(starts), cfg, period)
+        assert len(row_starts) == row_count
+        assert np.all(offsets % period == 0)
+        assert offsets.max() == extent
+        spans = input_window(vals, row_starts, WindowConfig(extent + cfg.s, cfg.w), -9.0)
+        for b, start in enumerate(starts):
+            np.testing.assert_array_equal(
+                spans[rows[b], offsets[b] : offsets[b] + cfg.input_length],
+                input_window(vals, start, cfg, -9.0))
 
 
 class TestMakeWindows:
