@@ -22,7 +22,7 @@ from .metrics import ApplianceMetrics, MetricReport, evaluate_pair
 from .model import DEFAULT_CONV_STACK, DisaggNet, NetConfig
 from .postprocess import FilterConfig
 from .presets import GRID_PERIOD_S, window_for
-from .series import PowerSeries, fill_gaps, load_csv, save_csv
+from .series import PowerSeries, fill_gaps, load_csv, save_columns, save_csv
 from .states import cluster_states, load_state_model, save_state_model
 from .synth import generate, load_scenario
 from .trainer import TrainConfig, disaggregate, train
@@ -133,9 +133,7 @@ def _load_series(path, period: int) -> PowerSeries:
 
 def _save_state_indices(path, stamps, indices) -> None:
     """Write ``epoch_seconds,state_index`` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for t, s in zip(stamps, indices):
-            fh.write(f"{int(t)},{int(s)}\n")
+    save_columns(path, "%d,%d\n", [stamps, indices])
 
 
 def cmd_synth(args) -> int:

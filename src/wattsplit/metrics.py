@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PowerSeries
+from .series import PowerSeries, save_columns
 
 __all__ = ["mae", "sae", "energy_total", "ApplianceMetrics", "MetricReport",
            "evaluate_pair", "report", "PLOT_HEADER", "METRIC_HEADER"]
@@ -123,12 +123,8 @@ def report(results, truths, out_dir=None, plain_results=None) -> MetricReport:
         for i, (res, truth) in enumerate(zip(results, truths)):
             plain = plain_results[i] if plain_results is not None else res
             _check_aligned(truth, plain.estimate)
-            path = os.path.join(out_dir, f"plot_{res.appliance}.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(PLOT_HEADER + "\n")
-                stamps = truth.timestamps()
-                for j in range(len(truth)):
-                    fh.write(f"{int(stamps[j])},{truth.values[j]:.6f},"
-                             f"{plain.estimate.values[j]:.6f},"
-                             f"{res.estimate.values[j]:.6f}\n")
+            save_columns(os.path.join(out_dir, f"plot_{res.appliance}.csv"),
+                         "%d,%.6f,%.6f,%.6f\n",
+                         [truth.timestamps(), truth.values, plain.estimate.values,
+                          res.estimate.values], header=PLOT_HEADER)
     return rep

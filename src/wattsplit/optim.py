@@ -30,8 +30,9 @@ class Adam:
     update: m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
             theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
-    The moments are updated in place, in the order written above, so the
-    result is bitwise that of the out-of-place formula. They belong to
+    The moments and the update are computed in place, in two scratch
+    arrays sized to the largest parameter, in the order written above, so
+    the result is bitwise that of the out-of-place formula. They belong to
     the parameters by position: every step must pass the parameter list
     of the first step. Gradients of trainable parameters are cleared
     after each step. The step counter increments once per ``step()`` call.
@@ -44,12 +45,15 @@ class Adam:
         self.step_count = 0
         self._params: list[Parameter] | None = None
         self._moments: list[tuple[np.ndarray, np.ndarray]] = []
+        self._scratch: tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
 
     def step(self, params: list[Parameter]) -> None:
         if self._params is None:
             self._params = list(params)
             self._moments = [(np.zeros_like(p.tensor.values), np.zeros_like(p.tensor.values))
                              for p in params]
+            largest = max((p.tensor.values.size for p in params), default=0)
+            self._scratch = (np.empty(largest), np.empty(largest))
         elif len(params) != len(self._params) or any(
                 p is not q or p.tensor.values.shape != m.shape
                 for p, q, (m, _) in zip(params, self._params, self._moments)):
@@ -73,9 +77,20 @@ class Adam:
             if not p.trainable:
                 continue
             g = p.tensor.grad
+            a = self._scratch[0][:g.size].reshape(g.shape)
+            b = self._scratch[1][:g.size].reshape(g.shape)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            np.multiply(g, 1.0 - BETA1, out=a)
+            m += a
             v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            p.tensor.values -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+            np.multiply(g, g, out=a)
+            a *= 1.0 - BETA2
+            v += a
+            np.divide(m, bc1, out=a)
+            a *= self.learning_rate
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += EPSILON
+            a /= b
+            p.tensor.values -= a
             p.tensor.grad = None

@@ -6,6 +6,8 @@ seconds, positive integer ``period``). Missing readings are NaN until
 """
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +16,7 @@ __all__ = [
     "PowerSeries",
     "load_csv",
     "save_csv",
+    "save_columns",
     "fill_gaps",
     "normalize",
     "denormalize",
@@ -21,6 +24,7 @@ __all__ = [
 ]
 
 SHORT_GAP_LIMIT_S = 180
+WRITE_BLOCK_ROWS = 32_768  # rows formatted per write by save_columns
 
 
 @dataclass
@@ -61,42 +65,51 @@ class PowerSeries:
 def load_csv(path, expected_period: int) -> PowerSeries:
     """Read ``epoch_seconds,watts`` rows onto a uniform grid.
 
-    Timestamps must be strictly increasing. Values resample onto the grid
-    ``start + i * expected_period`` by forward fill when the enclosing row
-    gap is <= expected_period; grid points inside larger holes are missing.
-    An optional header line is skipped.
+    Accepted format: UTF-8 text, one ``epoch_seconds,watts`` row per line,
+    exactly two comma-separated numeric fields (whitespace around a field
+    is ignored; a numeral must be ASCII and without ``_`` separators, as
+    numpy's reader takes it). Blank and whitespace-only lines are skipped.
+    Line 1 is a header, and skipped, when its first field is not a number;
+    otherwise it is a data row like any other. A negative power, or a row
+    that breaks these rules, raises a ``ValueError`` naming its line.
+    Timestamps must be strictly increasing, and a file whose span implies
+    a grid larger than the machine's physical memory is refused before the
+    grid is built.
+
+    Values resample onto the grid ``start + i * expected_period`` by
+    forward fill when the enclosing row gap is <= expected_period; grid
+    points inside larger holes are missing.
     """
     if expected_period <= 0:
         raise ValueError(f"expected_period must be positive, got {expected_period}")
-    times: list[float] = []
-    watts: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                t, v = float(parts[0]), float(parts[1])
-            except (ValueError, IndexError):
-                if lineno == 1:
-                    continue  # header
-                raise ValueError(f"{path}: unparseable row at line {lineno}: {line!r}")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: unparseable row at line {lineno}: {line!r}")
-            if v < 0:
-                raise ValueError(f"{path}: negative power at line {lineno}: {line!r}")
-            times.append(t)
-            watts.append(v)
-    if not times:
-        raise ValueError(f"{path}: no data rows")
-    ts = np.asarray(times)
-    vs = np.asarray(watts)
-    if np.any(np.diff(ts) <= 0):
-        bad = int(np.argmax(np.diff(ts) <= 0)) + 1
+        head = fh.readline()
+        rows = itertools.filterfalse(str.isspace, fh)
+        if head.strip() and _is_number(head.split(",")[0]):
+            rows = itertools.chain([head], rows)
+        first = next(rows, None)  # np.loadtxt only warns on no rows
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
+        try:
+            table = np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                               comments=None, ndmin=2)
+            if table.shape[1] != 2 or np.any(table[:, 1] < 0):
+                raise ValueError(f"{path}: a row without two fields or with negative power")
+        except ValueError:
+            _raise_first_bad_row(path)
+            raise  # the rescan found no row to name
+    ts, vs = table.T
+    if not np.all(np.diff(ts) > 0):
+        bad = int(np.argmin(np.diff(ts) > 0)) + 1
         raise ValueError(f"{path}: non-monotone timestamps around row {bad + 1}")
-    n = int((ts[-1] - ts[0]) // expected_period) + 1
-    grid = ts[0] + expected_period * np.arange(n)
+    n = (ts[-1] - ts[0]) // expected_period + 1
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not n * 8 <= memory:  # also refuses a non-finite span
+        raise ValueError(
+            f"{path}: timestamps {ts[0]:.0f} to {ts[-1]:.0f} imply a grid of {n:.0f} "
+            f"samples of {expected_period} s ({n * 8:.0f} bytes), more than the "
+            f"machine's {memory} bytes of physical memory")
+    grid = ts[0] + expected_period * np.arange(int(n))
     idx = np.searchsorted(ts, grid, side="right") - 1  # latest row <= grid point
     exact = ts[idx] == grid
     next_gap = np.diff(ts, append=np.inf)[idx]
@@ -105,12 +118,59 @@ def load_csv(path, expected_period: int) -> PowerSeries:
     return PowerSeries(int(ts[0]), expected_period, values)
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_bad_row(path) -> None:
+    """Rescan ``path`` row by row and raise for its first bad line, if any.
+
+    The error path of ``load_csv``: a field counts as numeric when numpy's
+    reader would take it, which is ``float()`` less underscores and
+    non-ASCII digits.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if lineno == 1 and not _is_number(parts[0]):
+                continue  # header
+            if len(parts) != 2 or not all(
+                    p.strip().isascii() and "_" not in p and _is_number(p) for p in parts):
+                raise ValueError(f"{path}: unparseable row at line {lineno}: {line!r}")
+            if float(parts[1]) < 0:
+                raise ValueError(f"{path}: negative power at line {lineno}: {line!r}")
+
+
 def save_csv(series: PowerSeries, path) -> None:
     if series.has_missing():
         raise ValueError("cannot save a series with missing values")
+    save_columns(path, "%d,%.6f\n", [series.timestamps(), series.values])
+
+
+def save_columns(path, row_format: str, columns, header: str | None = None) -> None:
+    """Write one ``row_format % row`` line per row of equal-length ``columns``.
+
+    Rows are formatted ``WRITE_BLOCK_ROWS`` at a time from the columns'
+    ``tolist()`` values, so the bytes are those of formatting each row's
+    Python ints and floats, and temporary memory stays bounded.
+    """
+    width = len(columns)
     with open(path, "w", encoding="utf-8") as fh:
-        for t, v in zip(series.timestamps(), series.values):
-            fh.write(f"{int(t)},{v:.6f}\n")
+        if header is not None:
+            fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+            block = [c[lo:lo + WRITE_BLOCK_ROWS].tolist() for c in columns]
+            cells = [None] * (width * len(block[0]))
+            for j, col in enumerate(block):
+                cells[j::width] = col
+            fh.write((row_format * len(block[0])) % tuple(cells))
 
 
 def fill_gaps(series: PowerSeries) -> PowerSeries:

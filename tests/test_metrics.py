@@ -17,6 +17,7 @@ from wattsplit.metrics import (
     report,
     sae,
 )
+from wattsplit import series as series_module
 from wattsplit.series import PowerSeries
 from wattsplit.trainer import DisaggregationResult
 
@@ -172,6 +173,20 @@ class TestReport:
         t0, tr0, pl0, va0 = lines[1].split(",")
         assert (int(t0), float(tr0), float(pl0), float(va0)) == (0, 10.0, 11.0, 12.0)
         assert lines[2].split(",")[0] == "6"  # timestamps advance by the period
+
+    def test_plot_bytes_match_per_row_format(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(series_module, "WRITE_BLOCK_ROWS", 3)
+        values = [0.0, 5e-7, 1e-7, 1e9, 1.0000005, 0.0000125, 2.5e-6, 1234.5675]
+        truth = series(values, start=1_600_000_000)
+        est = series(values[::-1], start=1_600_000_000)
+        plain = series(np.array(values) * 0.5, start=1_600_000_000)
+        report([result_for("kettle", est)], [truth], out_dir=tmp_path,
+               plain_results=[result_for("kettle", plain, "plain")])
+        stamps = truth.timestamps()
+        want = PLOT_HEADER + "\n" + "".join(
+            f"{int(stamps[j])},{truth.values[j]:.6f},{plain.values[j]:.6f},"
+            f"{est.values[j]:.6f}\n" for j in range(len(truth)))
+        assert (tmp_path / "plot_kettle.csv").read_bytes() == want.encode("utf-8")
 
     def test_plain_column_falls_back_to_variant(self, tmp_path):
         truth = series([10.0, 20.0])

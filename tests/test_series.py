@@ -1,9 +1,11 @@
 """Series container, CSV grid resampling, gap filling, normalization."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from wattsplit import series as series_module
+from wattsplit.cli import _save_state_indices
 from wattsplit.series import (PowerSeries, denormalize, fill_gaps, load_csv,
                               normalize, save_csv)
 
@@ -80,6 +82,24 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 2"):
             load_csv(path, 6)
 
+    @pytest.mark.parametrize("text, line", [
+        # line 1 is data when its first field is a number, so a bad watts
+        # field there is an error, not a header
+        pytest.param("1600000000,oops\n1600000006,2.0\n1600000012,3.0\n", 1,
+                     id="bad-watts-on-line-1"),
+        pytest.param("0\n6,2.0\n", 1, id="one-field-on-line-1"),
+        # numerals float() takes and numpy's reader does not
+        pytest.param("0,1.0\n6,1_0\n", 2, id="underscore-watts"),
+        pytest.param("1_0,1.0\n16,2.0\n", 1, id="underscore-time-on-line-1"),
+        pytest.param("t,w\n0,1.0\n\n1_2,2.0\n", 4, id="underscore-after-header"),
+        pytest.param("0,1.0\n6,\u0662\n", 2, id="non-ascii-digit"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"unparseable row at line {line}:"):
+            load_csv(path, 6)
+
     def test_header_tolerated(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("timestamp,watts\n0,1.0\n6,2.0\n")
@@ -91,6 +111,34 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="negative"):
             load_csv(path, 6)
 
+    def test_blank_lines_and_crlf_skipped(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"timestamp,watts\r\n \t\r\n0, 1.0\r\n\n6,2.0 \r\n\xc2\xa0\n")
+        np.testing.assert_array_equal(load_csv(path, 6).values, [1.0, 2.0])
+        # only line 1 can be a header
+        path.write_bytes(b"\r\ntimestamp,watts\r\n0,1.0\r\n")
+        with pytest.raises(ValueError, match="unparseable row at line 2"):
+            load_csv(path, 6)
+
+    def test_no_data_rows(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("timestamp,watts\n\n  \n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_csv(path, 6)
+
+    def test_grid_larger_than_memory_refused(self, tmp_path):
+        path = write_rows(tmp_path, [(0, 1.0), (10**15, 2.0)])
+        with pytest.raises(ValueError, match="grid of 166666666666667 samples"):
+            load_csv(path, 6)
+
+    def test_grid_bound_is_physical_memory(self, tmp_path, monkeypatch):
+        # 800 bytes of "physical memory" hold a grid of 100 float64 samples
+        monkeypatch.setattr(series_module.os, "sysconf",
+                            {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 100}.__getitem__)
+        assert len(load_csv(write_rows(tmp_path, [(0, 1.0), (6 * 99, 2.0)]), 6)) == 100
+        with pytest.raises(ValueError, match="grid of 101 samples of 6 s"):
+            load_csv(write_rows(tmp_path, [(0, 1.0), (6 * 100, 2.0)]), 6)
+
     def test_round_trip_with_save(self, tmp_path):
         s = PowerSeries(50, 3, np.array([1.5, 0.0, 2.25]))
         path = tmp_path / "rt.csv"
@@ -98,6 +146,149 @@ class TestLoadCsv:
         back = load_csv(path, 3)
         assert back.start_time == 50
         np.testing.assert_allclose(back.values, s.values, atol=1e-6)
+
+
+def load_csv_row_loop(path, expected_period):
+    """The row-at-a-time loader ``load_csv`` replaced, kept as its oracle.
+
+    One rule differs from the old loop: line 1 is a header only when its
+    first field is not a number (the old loop skipped any bad line 1).
+    """
+    times, watts = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if lineno == 1:
+                try:
+                    float(parts[0])
+                except ValueError:
+                    continue  # header
+            try:
+                t, v = float(parts[0]), float(parts[1])
+            except (ValueError, IndexError):
+                raise ValueError(f"{path}: unparseable row at line {lineno}: {line!r}")
+            if len(parts) != 2:
+                raise ValueError(f"{path}: unparseable row at line {lineno}: {line!r}")
+            if v < 0:
+                raise ValueError(f"{path}: negative power at line {lineno}: {line!r}")
+            times.append(t)
+            watts.append(v)
+    if not times:
+        raise ValueError(f"{path}: no data rows")
+    ts = np.asarray(times)
+    vs = np.asarray(watts)
+    if np.any(np.diff(ts) <= 0):
+        bad = int(np.argmax(np.diff(ts) <= 0)) + 1
+        raise ValueError(f"{path}: non-monotone timestamps around row {bad + 1}")
+    n = int((ts[-1] - ts[0]) // expected_period) + 1
+    grid = ts[0] + expected_period * np.arange(n)
+    idx = np.searchsorted(ts, grid, side="right") - 1
+    exact = ts[idx] == grid
+    next_gap = np.diff(ts, append=np.inf)[idx]
+    present = exact | (next_gap <= expected_period)
+    return PowerSeries(int(ts[0]), expected_period, np.where(present, vs[idx], np.nan))
+
+
+WATTS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 5e-7,
+                     1.7976931348623157e308, 1e300, 2.5e-6, 1234.5675]),
+)
+NUMERAL = st.sampled_from([repr, "{:.6f}".format, "{:e}".format, "{:.17g}".format])
+PAD = st.sampled_from(["", " ", "\t", " \t "])
+ROW = st.tuples(st.just("row"), st.integers(1, 20), WATTS, NUMERAL, PAD)
+BLANK = st.tuples(st.just("blank"), st.sampled_from(["", " ", "\t", "  \t ", "\u00a0"]))
+FAULT = st.one_of(
+    st.none(),
+    st.tuples(st.just("blank"), st.sampled_from(["17", "1,2,3", "x,1", "1,abc", "1,", ",",
+                                                 "1,2,", "1;2", "1,nope"])),
+    st.tuples(st.just("row"), st.integers(1, 20),
+              st.floats(max_value=-1e-300, allow_nan=False, allow_infinity=False),
+              NUMERAL, PAD),
+    st.tuples(st.just("row"), st.integers(-1, 0), WATTS, NUMERAL, PAD),
+)
+
+
+def csv_text(header, lines, ending, final_newline):
+    out = [] if header is None else [header]
+    t = 1_600_000_000
+    for line in lines:
+        if line[0] == "row":
+            _, dt, watts, numeral, pad = line
+            t += dt
+            out.append(f"{pad}{t}{pad},{pad}{numeral(watts)}{pad}")
+        else:
+            out.append(line[1])
+    return ending.join(out) + (ending if final_newline else "")
+
+
+class TestLoadCsvMatchesRowLoop:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=st.sampled_from([None, "timestamp,watts", "t,w,extra", "time", " "]),
+           lines=st.lists(st.one_of(ROW, ROW, BLANK), max_size=30),
+           fault=FAULT, fault_at=st.integers(0, 30),
+           ending=st.sampled_from(["\n", "\r\n"]),
+           final_newline=st.booleans(),
+           period=st.sampled_from([1, 6]))
+    def test_same_series_or_same_error(self, tmp_path, header, lines, fault, fault_at,
+                                       ending, final_newline, period):
+        """Headers, blank and whitespace-only lines, CRLF, subnormal, huge and
+        -0.0 watts, and at most one bad line, negative power or
+        non-increasing timestamp at a random line."""
+        if fault is not None:
+            lines = lines[:fault_at] + [fault] + lines[fault_at:]
+        path = tmp_path / "gen.csv"
+        path.write_bytes(csv_text(header, lines, ending, final_newline).encode("utf-8"))
+
+        def outcome(loader):
+            try:
+                s = loader(path, period)
+            except ValueError as err:
+                return "error", str(err)
+            return s.start_time, s.values.tobytes()
+
+        assert outcome(load_csv) == outcome(load_csv_row_loop)
+
+
+class TestColumnWriter:
+    VALUES = [0.0, 5e-7, 1e-7, 1e9, 1.0000005, 0.0000125, 2.5e-6, 0.1234565,
+              1234.5675, 7.9999995, 123456789.0000005, 3.0]
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 32_768])
+    def test_save_csv_bytes_match_per_row_format(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(series_module, "WRITE_BLOCK_ROWS", block_rows)
+        values = np.array(self.VALUES * 3)
+        s = PowerSeries(1_600_000_000, 6, values)
+        save_csv(s, tmp_path / "s.csv")
+        want = "".join(f"{int(t)},{v:.6f}\n" for t, v in zip(s.timestamps(), s.values))
+        assert (tmp_path / "s.csv").read_bytes() == want.encode("utf-8")
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e12), max_size=40),
+           st.integers(1, 7))
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_save_csv_bytes_match_for_any_values(self, tmp_path, monkeypatch, values,
+                                                 block_rows):
+        monkeypatch.setattr(series_module, "WRITE_BLOCK_ROWS", block_rows)
+        s = PowerSeries(0, 6, np.array(values))
+        save_csv(s, tmp_path / "h.csv")
+        want = "".join(f"{int(t)},{v:.6f}\n" for t, v in zip(s.timestamps(), s.values))
+        assert (tmp_path / "h.csv").read_bytes() == want.encode("utf-8")
+
+    def test_state_indices_bytes_match_per_row_format(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(series_module, "WRITE_BLOCK_ROWS", 4)
+        stamps = 1_600_000_000 + 6 * np.arange(11)
+        indices = np.array([0, 1, 2, 0, 0, 3, 1, 1, 0, 2, 4])
+        _save_state_indices(tmp_path / "s.states", stamps, indices)
+        want = "".join(f"{int(t)},{int(s)}\n" for t, s in zip(stamps, indices))
+        assert (tmp_path / "s.states").read_bytes() == want.encode("utf-8")
+
+    def test_empty_series_writes_empty_file(self, tmp_path):
+        save_csv(PowerSeries(0, 6, np.zeros(0)), tmp_path / "e.csv")
+        assert (tmp_path / "e.csv").read_bytes() == b""
 
 
 class TestFillGaps:
