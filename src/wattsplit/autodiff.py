@@ -5,15 +5,25 @@ convolution, a gather of flattened feature windows, dense layers,
 relu/sigmoid/softmax, mean squared error and categorical cross entropy.
 Every operation records a backward closure on a tape; calling
 ``backward()`` on a scalar result walks the tape in reverse topological
-order and accumulates gradients into ``Tensor.grad``.
+order and accumulates gradients into ``Tensor.grad``. Inside ``no_tape()``
+the operations record nothing, so each intermediate is freed as soon as
+the next operation has read it.
 
 Inputs may be ``Tensor`` instances or anything ``np.asarray`` accepts;
 plain arrays are lifted to constant tensors (they still receive gradients,
 which are simply never read).
+
+``run_pair`` runs two independent computations, such as the twin
+subnetworks, on two threads when OpenBLAS runs on one thread and the
+process may use two cores, and one after the other otherwise.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
+import os
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,6 +42,10 @@ __all__ = [
     "mse_loss",
     "cross_entropy_loss",
     "release_tape",
+    "no_tape",
+    "run_pair",
+    "blas_threads",
+    "subnetworks_on_two_threads",
     "keep_freed_memory",
     "CROSS_ENTROPY_CLIP",
 ]
@@ -44,13 +58,13 @@ class Tensor:
 
     __slots__ = ("values", "grad", "_parents", "_backward")
 
-    def __init__(self, values, _parents=()):
+    def __init__(self, values):
         v = np.asarray(values, dtype=np.float64)
         if not v.flags["C_CONTIGUOUS"]:  # ascontiguousarray would promote 0-d
             v = np.ascontiguousarray(v)
         self.values = v
         self.grad = None
-        self._parents = tuple(_parents)
+        self._parents = ()
         self._backward = None
 
     @property
@@ -60,12 +74,21 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.values.shape})"
 
-    def backward(self):
-        """Backpropagate from a scalar: fills ``grad`` on every ancestor."""
-        if self.values.size != 1:
-            raise ValueError(
-                f"backward() needs a scalar, got shape {self.values.shape}"
-            )
+    def backward(self, grad=None):
+        """Backpropagate into ``grad`` of every ancestor.
+
+        A scalar starts from a gradient of 1; any other tensor needs
+        ``grad``, the gradient of some scalar with respect to it.
+        """
+        if grad is None:
+            if self.values.size != 1:
+                raise ValueError(
+                    f"backward() needs a scalar, got shape {self.values.shape}"
+                )
+            grad = np.ones_like(self.values)
+        elif np.shape(grad) != self.values.shape:
+            raise ValueError(f"backward(): gradient shape {np.shape(grad)} does not "
+                             f"match shape {self.values.shape}")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -82,7 +105,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.values)
+        self.grad = grad
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
@@ -98,18 +121,115 @@ def release_tape(root: Tensor) -> None:
         node._parents, node._backward = (), None
 
 
+class _TapeMode(threading.local):
+    off = False  # this thread's ops record nothing
+
+
+_tape = _TapeMode()
+
+
+def _record(out: Tensor, backward, *parents) -> Tensor:
+    """Put ``out`` on the tape, unless this thread is inside ``no_tape``."""
+    if not _tape.off:
+        out._parents, out._backward = parents, backward
+    return out
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Operations on this thread record no parents and no closure inside the
+    block, and ``run_pair`` carries that to its worker thread."""
+    before, _tape.off = _tape.off, True
+    try:
+        yield
+    finally:
+        _tape.off = before
+
+
+@functools.cache
+def blas_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy calls, or None where
+    numpy's BLAS is not an OpenBLAS that can be asked."""
+    from numpy.linalg import _umath_linalg  # a numpy extension linked to its BLAS
+
+    try:  # symbols are looked up in the extension and the libraries it loaded
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get = getattr(lib, symbol, None)
+        if get is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            return get()
+    return None
+
+
+@functools.cache
+def _two_threads() -> bool:
+    """Whether ``run_pair`` uses its worker thread: only when OpenBLAS runs
+    on one thread and the process may use at least two cores, as probed
+    at the first call. With more BLAS threads the pair competes with them
+    and runs slower."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return blas_threads() == 1 and cores >= 2
+
+
+def subnetworks_on_two_threads() -> bool:
+    """Whether ``run_pair``, and so the twin subnetworks, use two threads."""
+    return _two_threads()
+
+
+_worker_lock = threading.Lock()  # so that two first calls make one worker
+
+
+@functools.cache  # one worker for the process, started by the first call
+def _worker():
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="wattsplit")
+
+
+def run_pair(first, second):
+    """``(first(), second())``, with ``first`` on a reused worker thread while
+    ``second`` runs on this one where ``subnetworks_on_two_threads()``, else
+    one after the other here. Both run in this thread's tape mode. The two
+    must not write to the same arrays or tensors."""
+    if not _two_threads():
+        return first(), second()
+    off = _tape.off
+
+    def task():
+        _tape.off = off
+        return first()
+
+    with _worker_lock:
+        worker = _worker()
+    future = worker.submit(task)
+    try:
+        second_result = second()
+    finally:
+        first_result = future.result()  # waits for the worker, and raises its error
+    return first_result, second_result
+
+
 # glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
 def keep_freed_memory() -> None:
     """Make glibc's allocator keep the memory of released tapes in the process.
 
-    ``release_tape`` frees a step's arrays at once. By default glibc then
-    trims the emptied heap and unmaps the large arrays, so the next training
-    step or inference batch page-faults the same memory in again. This
-    serves arrays below 32 MiB from the heap and never trims it, which the
-    whole process keeps. It does nothing where the C library is not glibc.
+    ``release_tape`` and ``no_tape`` free a step's arrays at once. By
+    default glibc then trims the emptied heap and unmaps the large arrays,
+    so the next training step or inference batch page-faults the same
+    memory in again. This serves arrays below 32 MiB from the heap and
+    never trims it, which the whole process keeps. It also caps glibc at
+    one arena, so that ``run_pair``'s worker thread allocates from that
+    same heap instead of a second one of its own. It does nothing where the
+    C library is not glibc.
     """
     try:
         libc = ctypes.CDLL(None)
@@ -122,6 +242,7 @@ def keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def _lift(x) -> Tensor:
@@ -175,7 +296,7 @@ def conv1d(x, kernels, bias, stride: int = 1) -> Tensor:
     wmat = kv.reshape(cout, cin * k)
     out_btc = cols @ wmat.T + bv  # [B,T,cout]
     out_vals = np.ascontiguousarray(out_btc.transpose(0, 2, 1))
-    out = Tensor(out_vals, (x, kernels, bias))
+    out = Tensor(out_vals)
 
     def _bwd():
         g = out.grad  # [B,cout,T]
@@ -191,8 +312,7 @@ def conv1d(x, kernels, bias, stride: int = 1) -> Tensor:
             ].transpose(0, 2, 1)
         _accumulate(x, g_x)
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd, x, kernels, bias)
 
 
 def window_gather(x, rows, offsets, width: int) -> Tensor:
@@ -220,7 +340,7 @@ def window_gather(x, rows, offsets, width: int) -> Tensor:
                          f"the input of shape {xv.shape}")
     batch = len(rows)
     windows = sliding_window_view(xv, width, axis=2)[rows, :, offsets]  # [B,C,width]
-    out = Tensor(windows.reshape(batch, channels * width), (x,))
+    out = Tensor(windows.reshape(batch, channels * width))
 
     def _bwd():
         g = out.grad.reshape(batch, channels, width)
@@ -229,8 +349,7 @@ def window_gather(x, rows, offsets, width: int) -> Tensor:
             g_x[rows[b], :, offsets[b] : offsets[b] + width] += g[b]
         _accumulate(x, g_x)
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd, x)
 
 
 def dense(x, weights, bias) -> Tensor:
@@ -248,7 +367,7 @@ def dense(x, weights, bias) -> Tensor:
         raise ValueError(
             f"dense: input shape {xv.shape} does not match weights shape {wv.shape}"
         )
-    out = Tensor(xv @ wv.T + bv, (x, weights, bias))
+    out = Tensor(xv @ wv.T + bv)
 
     def _bwd():
         g = out.grad
@@ -256,20 +375,18 @@ def dense(x, weights, bias) -> Tensor:
         _accumulate(bias, g.sum(axis=0))
         _accumulate(x, g @ wv)
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd, x, weights, bias)
 
 
 def relu(x) -> Tensor:
     x = _lift(x)
     _check_finite(x.values, "relu")
-    out = Tensor(np.maximum(x.values, 0.0), (x,))
+    out = Tensor(np.maximum(x.values, 0.0))
 
     def _bwd():
         _accumulate(x, out.grad * (x.values > 0.0))
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd, x)
 
 
 def sigmoid(x) -> Tensor:
@@ -281,13 +398,12 @@ def sigmoid(x) -> Tensor:
     vals[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
     e = np.exp(xv[~pos])
     vals[~pos] = e / (1.0 + e)
-    out = Tensor(vals, (x,))
+    out = Tensor(vals)
 
     def _bwd():
         _accumulate(x, out.grad * out.values * (1.0 - out.values))
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd, x)
 
 
 def softmax(x) -> Tensor:
@@ -297,25 +413,23 @@ def softmax(x) -> Tensor:
     shifted = x.values - x.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     vals = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(vals, (x,))
+    out = Tensor(vals)
 
     def _bwd():
         inner = (out.grad * out.values).sum(axis=-1, keepdims=True)
         _accumulate(x, (out.grad - inner) * out.values)
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd, x)
 
 
 def reshape(x, shape) -> Tensor:
     x = _lift(x)
-    out = Tensor(x.values.reshape(shape), (x,))
+    out = Tensor(x.values.reshape(shape))
 
     def _bwd():
         _accumulate(x, out.grad.reshape(x.values.shape))
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd, x)
 
 
 def add(a, b) -> Tensor:
@@ -324,26 +438,24 @@ def add(a, b) -> Tensor:
     av, bv = a.values, b.values
     if av.shape != bv.shape:
         raise ValueError(f"add: shape mismatch {av.shape} vs {bv.shape}")
-    out = Tensor(av + bv, (a, b))
+    out = Tensor(av + bv)
 
     def _bwd():
         _accumulate(a, out.grad)
         _accumulate(b, out.grad)
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd, a, b)
 
 
 def scale(x, c: float) -> Tensor:
     x = _lift(x)
     c = float(c)
-    out = Tensor(x.values * c, (x,))
+    out = Tensor(x.values * c)
 
     def _bwd():
         _accumulate(x, out.grad * c)
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd, x)
 
 
 def mse_loss(prediction, target) -> Tensor:
@@ -353,15 +465,14 @@ def mse_loss(prediction, target) -> Tensor:
     if pv.shape != tv.shape:
         raise ValueError(f"mse_loss: shape mismatch {pv.shape} vs {tv.shape}")
     diff = pv - tv
-    out = Tensor(np.mean(diff * diff), (prediction, target))
+    out = Tensor(np.mean(diff * diff))
 
     def _bwd():
         g = out.grad * 2.0 / diff.size
         _accumulate(prediction, g * diff)
         _accumulate(target, -g * diff)
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd, prediction, target)
 
 
 def cross_entropy_loss(probabilities, targets) -> Tensor:
@@ -392,11 +503,10 @@ def cross_entropy_loss(probabilities, targets) -> Tensor:
         raise ValueError("cross_entropy_loss: target rows must be one-hot")
     n_rows = pv.size // pv.shape[-1]
     clipped = np.maximum(pv, CROSS_ENTROPY_CLIP)
-    out = Tensor(-np.sum(tv * np.log(clipped)) / n_rows, (probabilities,))
+    out = Tensor(-np.sum(tv * np.log(clipped)) / n_rows)
 
     def _bwd():
         g = np.where(pv >= CROSS_ENTROPY_CLIP, -tv / clipped, 0.0)
         _accumulate(probabilities, out.grad * g / n_rows)
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd, probabilities)

@@ -4,7 +4,8 @@ Subcommands: synth, states, train, disaggregate, evaluate. ``train`` merges
 settings as defaults < --config file < explicit flags. ``synth``, ``train``
 and ``disaggregate`` echo their settings into their output directory as
 effective_config.json, so runs can be reproduced from the echo plus the
-input files; train's echo can be reused as a --config.
+input files; train's echo can be reused as a --config. The echoes of
+train and disaggregate also record the environment the run had.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .autodiff import keep_freed_memory
+from .autodiff import blas_threads, keep_freed_memory, subnetworks_on_two_threads
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import ApplianceMetrics, MetricReport, evaluate_pair
 from .model import DEFAULT_CONV_STACK, DisaggNet, NetConfig
@@ -96,6 +97,13 @@ def _load_config_file(path) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a config file holds one JSON object")
+    # train's own echo is a config: its command must be train, and the
+    # environment it recorded is not a setting
+    command = doc.pop("command", "train")
+    if command != "train":
+        raise ValueError(f"{path}: config key 'command' is {command!r}; a train "
+                         "config may only say 'train'")
+    doc.pop("environment", None)
     unknown = set(doc) - set(TRAIN_DEFAULTS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -117,10 +125,19 @@ def _merge_settings(args) -> dict:
     return merged
 
 
-def _echo_config(out_dir: str, command: str, settings: dict) -> None:
-    """settings holds only JSON values: strings, numbers, None and lists."""
+def _echo_config(out_dir: str, command: str, settings: dict,
+                 environment: bool = False) -> None:
+    """settings holds only JSON values: strings, numbers, None and lists.
+
+    With ``environment``, the echo ends with the numpy version, OpenBLAS's
+    thread count (null where it cannot be asked) and whether the twin
+    subnetworks ran on two threads.
+    """
     os.makedirs(out_dir, exist_ok=True)
     doc = {"command": command, **dict(sorted(settings.items()))}
+    if environment:
+        doc["environment"] = {"numpy": np.__version__, "blas_threads": blas_threads(),
+                              "subnetworks_on_two_threads": subnetworks_on_two_threads()}
     with open(os.path.join(out_dir, "effective_config.json"), "w",
               encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -201,7 +218,7 @@ def cmd_train(args) -> int:
     ckpt = os.path.join(args.out, "checkpoint.ddnn")
     save_checkpoint(net, ckpt)
     rep.to_csv(os.path.join(args.out, "train_report.csv"))
-    _echo_config(args.out, "train", st)
+    _echo_config(args.out, "train", st, environment=True)
     last = rep.epochs[-1] if rep.epochs else None
     tail = f", final loss {last.loss_total:.6f}" if last else ""
     print(f"trained {cfg.epochs} epochs in {rep.wall_time_s:.1f}s{tail} -> {ckpt}")
@@ -228,7 +245,7 @@ def cmd_disaggregate(args) -> int:
         "stride": args.stride,
         "median_window": args.median_window,
         "period": args.period,
-    })
+    }, environment=True)
     print(f"wrote estimate.csv and states.csv to {args.out}")
     return 0
 
@@ -314,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    keep_freed_memory()  # train and disaggregate free each tape as they go
+    keep_freed_memory()  # train and disaggregate free their arrays as they go
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError, KeyError) as exc:

@@ -96,7 +96,7 @@ def run_demo(duration: int = 200_000, seed: int = 7, epochs: int = 10,
     steps x lr covers the distance. ``infer_stride`` spaces the evaluation
     windows, averaging overlapping estimates.
     """
-    keep_freed_memory()  # training and inference free each tape as they go
+    keep_freed_memory()  # training and inference free their arrays as they go
     scenario = demo_scenario(duration=duration, seed=seed)
     mains, traces, state_seqs = generate(scenario)
     split = int(round(duration * (1.0 - HOLDOUT_FRACTION)))

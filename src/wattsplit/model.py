@@ -28,6 +28,7 @@ __all__ = [
     "DisaggNet",
     "ForwardPass",
     "ForwardOutput",
+    "head_pass",
     "combine",
     "loss_power",
     "total_loss",
@@ -206,7 +207,7 @@ class DisaggNet:
 
     def forward_tensors(self, inputs: np.ndarray, rows=None,
                         offsets=None) -> ForwardPass:
-        """Batched forward pass on the tape.
+        """Batched forward pass, on the tape unless inside ``autodiff.no_tape()``.
 
         inputs: [R, L] normalized mains rows, each holding one or more
         overlapping input windows of s + 2w samples. Window b starts at
@@ -216,6 +217,12 @@ class DisaggNet:
         per row, and the windows share the convolutions of their overlap.
         By default every row is one window at offset 0 (L = s + 2w);
         ``trainer.disaggregate`` says when a shared row changes bits.
+
+        The power subnetwork runs on ``autodiff.run_pair``'s worker thread
+        while this thread runs the state subnetwork, where
+        ``autodiff.subnetworks_on_two_threads()``; the outputs are the same
+        bits either way. The tape joins both subnetworks, so ``backward()``
+        from a loss over the outputs reaches every parameter.
         """
         x = np.asarray(inputs, dtype=np.float64)
         n = self.config.window.input_length
@@ -232,18 +239,26 @@ class DisaggNet:
         feature_offsets = offsets // step
         batch = len(rows)
         s, l = self.config.window.s, self.config.state_count
-        xt = Tensor(x[:, None, :])
-        ratings = self.power_net.forward(xt, rows, feature_offsets)
-        logits = ad.reshape(self.state_net.forward(xt, rows, feature_offsets),
-                            (batch, s, l))
-        probs = ad.softmax(logits)
-        return ForwardPass(ratings, logits, probs, combine(ratings, probs))
+        x = np.ascontiguousarray(x[:, None, :])
+        # each subnetwork reads its own input tensor, so that neither thread
+        # accumulates a gradient into a tensor the other one writes
+        ratings, state_out = ad.run_pair(
+            lambda: self.power_net.forward(Tensor(x), rows, feature_offsets),
+            lambda: self.state_net.forward(Tensor(x), rows, feature_offsets))
+        return head_pass(ratings, ad.reshape(state_out, (batch, s, l)))
 
     def predict(self, inputs: np.ndarray) -> ForwardOutput:
-        fwd = self.forward_tensors(inputs)
-        ad.release_tape(fwd.combined)  # the whole tape, freed without waiting for gc
+        with ad.no_tape():  # each layer's arrays are freed once the next has read them
+            fwd = self.forward_tensors(inputs)
         return ForwardOutput(fwd.ratings.values, fwd.state_probs.values,
                              fwd.combined.values)
+
+
+def head_pass(ratings, state_logits) -> ForwardPass:
+    """The state softmax and the combined estimate over the outputs of the
+    two subnetworks: ratings [B, l] and state logits [B, s, l]."""
+    probs = ad.softmax(state_logits)
+    return ForwardPass(ratings, state_logits, probs, combine(ratings, probs))
 
 
 def combine(ratings, probs) -> Tensor:
@@ -259,15 +274,14 @@ def combine(ratings, probs) -> Tensor:
         raise ValueError(
             f"combine: ratings shape {rv.shape} does not match probs shape {pv.shape}"
         )
-    out = Tensor(np.einsum("...sl,...l->...s", pv, rv), (ratings, probs))
+    out = Tensor(np.einsum("...sl,...l->...s", pv, rv))
 
     def _bwd():
         g = out.grad
         ad._accumulate(probs, g[..., :, None] * rv[..., None, :])
         ad._accumulate(ratings, np.einsum("...s,...sl->...l", g, pv))
 
-    out._backward = _bwd
-    return out
+    return ad._record(out, _bwd, ratings, probs)
 
 
 def loss_power(ratings, centroid_targets) -> Tensor:

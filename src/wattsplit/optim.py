@@ -7,7 +7,7 @@ import numpy as np
 
 from .autodiff import Tensor
 
-__all__ = ["Parameter", "Adam", "BETA1", "BETA2", "EPSILON"]
+__all__ = ["Parameter", "Adam", "BETA1", "BETA2", "EPSILON", "BLOCK"]
 
 # the defaults of Kingma & Ba (2015), and the only values the program uses
 BETA1 = 0.9
@@ -24,15 +24,19 @@ class Parameter:
     trainable: bool = True
 
 
+# elements per block of Adam's update: the two scratch arrays take 128 KiB each
+BLOCK = 16_384
+
+
 class Adam:
     """Adam update rule; holds one (m, v) moment pair per parameter.
 
     update: m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
             theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
-    The moments and the update are computed in place, in two scratch
-    arrays sized to the largest parameter, in the order written above, so
-    the result is bitwise that of the out-of-place formula. They belong to
+    The moments and the update are computed in place, ``BLOCK`` elements at
+    a time in two scratch arrays, in the order written above, so the
+    result is bitwise that of the out-of-place formula. They belong to
     the parameters by position: every step must pass the parameter list
     of the first step. Gradients of trainable parameters are cleared
     after each step. The step counter increments once per ``step()`` call.
@@ -45,15 +49,13 @@ class Adam:
         self.step_count = 0
         self._params: list[Parameter] | None = None
         self._moments: list[tuple[np.ndarray, np.ndarray]] = []
-        self._scratch: tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
+        self._scratch = (np.empty(BLOCK), np.empty(BLOCK))
 
     def step(self, params: list[Parameter]) -> None:
         if self._params is None:
             self._params = list(params)
             self._moments = [(np.zeros_like(p.tensor.values), np.zeros_like(p.tensor.values))
                              for p in params]
-            largest = max((p.tensor.values.size for p in params), default=0)
-            self._scratch = (np.empty(largest), np.empty(largest))
         elif len(params) != len(self._params) or any(
                 p is not q or p.tensor.values.shape != m.shape
                 for p, q, (m, _) in zip(params, self._params, self._moments)):
@@ -69,6 +71,8 @@ class Adam:
                     f"parameter {p.name!r}: gradient shape "
                     f"{p.tensor.grad.shape} != value shape {p.tensor.values.shape}"
                 )
+            if not p.tensor.values.flags["C_CONTIGUOUS"]:  # updated through a flat view
+                raise ValueError(f"parameter {p.name!r}: values are not C-contiguous")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1 ** t
@@ -76,21 +80,23 @@ class Adam:
         for p, (m, v) in zip(params, self._moments):
             if not p.trainable:
                 continue
-            g = p.tensor.grad
-            a = self._scratch[0][:g.size].reshape(g.shape)
-            b = self._scratch[1][:g.size].reshape(g.shape)
-            m *= BETA1
-            np.multiply(g, 1.0 - BETA1, out=a)
-            m += a
-            v *= BETA2
-            np.multiply(g, g, out=a)
-            a *= 1.0 - BETA2
-            v += a
-            np.divide(m, bc1, out=a)
-            a *= self.learning_rate
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += EPSILON
-            a /= b
-            p.tensor.values -= a
+            flat = (p.tensor.values.reshape(-1), p.tensor.grad.reshape(-1),
+                    m.reshape(-1), v.reshape(-1))
+            for lo in range(0, m.size, BLOCK):
+                theta, g, mb, vb = (x[lo : lo + BLOCK] for x in flat)
+                a, b = (x[:g.size] for x in self._scratch)
+                mb *= BETA1
+                np.multiply(g, 1.0 - BETA1, out=a)
+                mb += a
+                vb *= BETA2
+                np.multiply(g, g, out=a)
+                a *= 1.0 - BETA2
+                vb += a
+                np.divide(mb, bc1, out=a)
+                a *= self.learning_rate
+                np.divide(vb, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += EPSILON
+                a /= b
+                theta -= a
             p.tensor.grad = None

@@ -65,10 +65,10 @@ class PowerSeries:
 def load_csv(path, expected_period: int) -> PowerSeries:
     """Read ``epoch_seconds,watts`` rows onto a uniform grid.
 
-    Accepted format: UTF-8 text, one ``epoch_seconds,watts`` row per line,
-    exactly two comma-separated numeric fields (whitespace around a field
-    is ignored; a numeral must be ASCII and without ``_`` separators, as
-    numpy's reader takes it). Blank and whitespace-only lines are skipped.
+    Accepted format: UTF-8 text, with or without a byte-order mark, one
+    ``epoch_seconds,watts`` row per line, exactly two comma-separated
+    numeric fields (whitespace around a field is ignored; a numeral must be
+    ASCII and without ``_`` separators, as numpy's reader takes it). Blank and whitespace-only lines are skipped.
     Line 1 is a header, and skipped, when its first field is not a number;
     otherwise it is a data row like any other. A negative power, or a row
     that breaks these rules, raises a ``ValueError`` naming its line.
@@ -82,7 +82,7 @@ def load_csv(path, expected_period: int) -> PowerSeries:
     """
     if expected_period <= 0:
         raise ValueError(f"expected_period must be positive, got {expected_period}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         head = fh.readline()
         rows = itertools.filterfalse(str.isspace, fh)
         if head.strip() and _is_number(head.split(",")[0]):
@@ -133,7 +133,7 @@ def _raise_first_bad_row(path) -> None:
     reader would take it, which is ``float()`` less underscores and
     non-ASCII digits.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

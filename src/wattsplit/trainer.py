@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .model import DisaggNet, combine, total_loss
+from .model import DisaggNet, combine, head_pass, total_loss
 from .postprocess import (FilterConfig, combine_hard, hard_gate, median_filter,
                           reconcile_overlaps, sample_gumbel)
 from .series import PowerSeries, denormalize, normalize
@@ -106,8 +106,14 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
     ``tau = 1`` (the default, and the canned demo's value) they are noisy
     soft mixtures, not a near-discrete gate. The cross-entropy term always
     sees the clean softmax. Median filtering never appears in the gradient
-    path. Deterministic for a given seed. Each step's tape is unlinked
-    after the update, so its memory is freed by reference counting.
+    path. Deterministic for a given seed.
+
+    The loss is built on stand-ins for the outputs of the two subnetworks.
+    After its backward pass, each subnetwork runs its own backward pass and
+    then the update of its own ``Adam``, as one task of
+    ``autodiff.run_pair``, and unlinks its tape, so that its memory is
+    freed by reference counting. The two tasks touch disjoint parameters,
+    so the result is the same bits on one thread or two.
     """
     from .optim import Adam
 
@@ -124,21 +130,23 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
     shuffle_rng = np.random.default_rng(seq[0])
     gumbel_rng = np.random.default_rng(seq[1])
     hard_training = cfg.variant in ("hard", "hard_median")
-    optimizer = Adam(learning_rate=cfg.learning_rate)
-    params = model.parameters()
+    power, state = ((net.params, Adam(learning_rate=cfg.learning_rate))
+                    for net in (model.power_net, model.state_net))
     n = len(examples)
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
         sums = np.zeros(3)
         for batch_index, lo in enumerate(range(0, n, cfg.batch_size)):
             sel = order[lo : lo + cfg.batch_size]
-            fwd = model.forward_tensors(inputs[sel])
+            outputs = model.forward_tensors(inputs[sel])
+            ratings = ad.Tensor(outputs.ratings.values)  # the stand-ins
+            logits = ad.Tensor(outputs.state_logits.values)
+            fwd = head_pass(ratings, logits)
             clean_combined = fwd.combined  # off the loss's tape in the hard variants
             if hard_training:
-                g = sample_gumbel(fwd.state_logits.shape, gumbel_rng)
-                noisy = ad.softmax(ad.scale(ad.add(fwd.state_logits, g),
-                                            1.0 / model.config.tau))
-                fwd = replace(fwd, combined=combine(fwd.ratings, noisy))
+                g = sample_gumbel(logits.shape, gumbel_rng)
+                noisy = ad.softmax(ad.scale(ad.add(logits, g), 1.0 / model.config.tau))
+                fwd = replace(fwd, combined=combine(ratings, noisy))
             loss, out_term, state_term = total_loss(
                 fwd, targets[sel], states[sel],
                 lambda_power=cfg.lambda_power, centroid_targets=centroid_targets)
@@ -147,10 +155,12 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
             loss.backward()
-            optimizer.step(params)
+            ad.run_pair(
+                lambda: _backward_and_step(outputs.ratings, ratings.grad, *power),
+                lambda: _backward_and_step(outputs.state_logits, logits.grad, *state))
             # freed now, not at the cycle collector's next pass
-            ad.release_tape(loss)
-            ad.release_tape(clean_combined)
+            for root in (loss, clean_combined, outputs.combined):
+                ad.release_tape(root)
             weight = len(sel)
             sums += weight * np.array([float(loss.values), float(out_term.values),
                                        float(state_term.values)])
@@ -160,6 +170,14 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
         model.epochs_seen += 1
     report.wall_time_s = time.perf_counter() - started
     return model, report
+
+
+def _backward_and_step(out, grad, params, optimizer) -> None:
+    """One subnetwork's share of a training step, from the gradient of the
+    loss with respect to its output."""
+    out.backward(grad)
+    optimizer.step(params)
+    ad.release_tape(out)
 
 
 @dataclass
@@ -239,8 +257,8 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
                 chunk, cfg.window, cfg.feature_stride())
             inputs = input_window(norm, row_starts,
                                   WindowConfig(extent + s, cfg.window.w), pad)
-            fwd = model.forward_tensors(inputs, window_row, offsets)
-            ad.release_tape(fwd.combined)  # freed now, not by the cycle collector
+            with ad.no_tape():  # each layer's arrays are freed once the next has read them
+                fwd = model.forward_tensors(inputs, window_row, offsets)
             rows, values = fwd.state_probs.values, fwd.combined.values
             if variant != "plain":
                 rows = hard_gate(rows)

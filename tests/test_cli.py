@@ -217,6 +217,30 @@ class TestTrain:
         lines = (out / "train_report.csv").read_text().strip().splitlines()
         assert len(lines) == 2
 
+    def test_echo_reused_as_config_writes_the_same_checkpoint(self, workspace, tmp_path):
+        run = workspace / "run"
+        out = tmp_path / "again"
+        assert main(["train", "--config", str(run / "effective_config.json"),
+                     "--out", str(out)]) == 0
+        assert (out / "checkpoint.ddnn").read_bytes() == (
+            run / "checkpoint.ddnn").read_bytes()
+
+    def test_config_of_another_command_is_reported(self, workspace, tmp_path, capsys):
+        echo = workspace / "est" / "effective_config.json"
+        assert main(["train", "--config", str(echo), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "'command'" in err and "'disaggregate'" in err
+
+    def test_echo_records_the_environment(self, workspace):
+        for echo_path in (workspace / "run" / "effective_config.json",
+                          workspace / "est" / "effective_config.json"):
+            env = json.loads(echo_path.read_text())["environment"]
+            assert env["numpy"] == np.__version__
+            assert env["blas_threads"] is None or env["blas_threads"] >= 1
+            assert isinstance(env["subnetworks_on_two_threads"], bool)
+        synth_echo = json.loads((workspace / "data" / "effective_config.json").read_text())
+        assert "environment" not in synth_echo
+
     def test_missing_input_is_reported(self, tmp_path, capsys):
         assert main(["train", "--out", str(tmp_path / "x"), *TRAIN_FLAGS]) == 1
         err = capsys.readouterr().err

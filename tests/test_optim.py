@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from wattsplit.autodiff import Tensor
-from wattsplit.optim import Adam, Parameter
+from wattsplit.optim import BLOCK, Adam, Parameter
 
 
 def reference_adam(theta0, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
@@ -98,7 +98,9 @@ class TestAdam:
 
     def test_in_place_update_is_bitwise_the_textbook_update(self):
         rng = np.random.default_rng(3)
-        shapes = [(4, 3), (5,)]
+        # the 40,000 values span three update blocks, the last one partial
+        shapes = [(4, 3), (5,), (200, 200)]
+        assert 2 * BLOCK < 200 * 200 < 3 * BLOCK
         params = [Parameter(f"w{i}", Tensor(rng.normal(size=shape)))
                   for i, shape in enumerate(shapes)]
         theta = [p.tensor.values.copy() for p in params]
@@ -118,6 +120,13 @@ class TestAdam:
                     np.sqrt(v[i] / (1 - b2 ** t)) + eps)
             for p, want in zip(params, theta):
                 assert p.tensor.values.tobytes() == want.tobytes()
+
+    def test_non_contiguous_values_rejected(self):
+        p = make_param(np.zeros((3, 2)))
+        p.tensor.values = np.zeros((2, 3)).T
+        p.tensor.grad = np.ones((3, 2))
+        with pytest.raises(ValueError, match="contiguous"):
+            Adam().step([p])
 
     def test_bitwise_deterministic(self):
         def run():

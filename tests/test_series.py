@@ -106,6 +106,17 @@ class TestLoadCsv:
         s = load_csv(path, 6)
         np.testing.assert_array_equal(s.values, [1.0, 2.0])
 
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1600000000,5.0\n1600000006,2.0\n")
+        s = load_csv(path, 6)
+        assert s.start_time == 1600000000
+        np.testing.assert_array_equal(s.values, [5.0, 2.0])
+        # a header after the mark is still a header, and errors keep their line
+        path.write_bytes(b"\xef\xbb\xbftimestamp,watts\n0,1.0\n6,oops\n")
+        with pytest.raises(ValueError, match="unparseable row at line 3"):
+            load_csv(path, 6)
+
     def test_negative_power_rejected(self, tmp_path):
         path = write_rows(tmp_path, [(0, 1.0), (6, -2.0)])
         with pytest.raises(ValueError, match="negative"):
