@@ -3,11 +3,12 @@
 Implements exactly the operations the disaggregation nets need: valid 1-D
 convolution, a gather of flattened feature windows, dense layers,
 relu/sigmoid/softmax, mean squared error and categorical cross entropy.
-Every operation records a backward closure on a tape; calling
+Every operation records a backward closure on a tape, which holds no
+reference cycles (a closure reads its output only through a weak reference);
 ``backward()`` on a scalar result walks the tape in reverse topological
-order and accumulates gradients into ``Tensor.grad``. Inside ``no_tape()``
-the operations record nothing, so each intermediate is freed as soon as
-the next operation has read it.
+order, accumulates gradients into ``Tensor.grad`` and consumes the tape as
+it goes. Inside ``no_tape()`` the operations record nothing, so each
+intermediate is freed as soon as the next operation has read it.
 
 Inputs may be ``Tensor`` instances or anything ``np.asarray`` accepts;
 plain arrays are lifted to constant tensors (they still receive gradients,
@@ -24,6 +25,7 @@ import ctypes
 import functools
 import os
 import threading
+import weakref
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,7 +43,6 @@ __all__ = [
     "scale",
     "mse_loss",
     "cross_entropy_loss",
-    "release_tape",
     "no_tape",
     "run_pair",
     "blas_threads",
@@ -56,7 +57,7 @@ CROSS_ENTROPY_CLIP = 1e-12
 class Tensor:
     """A float64 array plus an optional gradient of the same shape."""
 
-    __slots__ = ("values", "grad", "_parents", "_backward")
+    __slots__ = ("values", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, values):
         v = np.asarray(values, dtype=np.float64)
@@ -78,7 +79,9 @@ class Tensor:
         """Backpropagate into ``grad`` of every ancestor.
 
         A scalar starts from a gradient of 1; any other tensor needs
-        ``grad``, the gradient of some scalar with respect to it.
+        ``grad``, the gradient of some scalar with respect to it. The walk
+        consumes the tape: each node drops its parents and closure once run,
+        so saved arrays are freed as it goes, and a graph can be walked once.
         """
         if grad is None:
             if self.values.size != 1:
@@ -106,19 +109,11 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = grad
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward()
-
-
-def release_tape(root: Tensor) -> None:
-    """Unlink ``root`` and every tensor it depends on from the tape, so it
-    is freed without the cycle collector. Values stay; gradients cannot flow."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        stack.extend(node._parents)
-        node._parents, node._backward = (), None
+            node._parents, node._backward = (), None
 
 
 class _TapeMode(threading.local):
@@ -129,9 +124,11 @@ _tape = _TapeMode()
 
 
 def _record(out: Tensor, backward, *parents) -> Tensor:
-    """Put ``out`` on the tape, unless this thread is inside ``no_tape``."""
+    """Put ``out`` on the tape, unless this thread is inside ``no_tape``;
+    ``backward(g)`` gets ``out``'s gradient through a weak reference."""
     if not _tape.off:
-        out._parents, out._backward = parents, backward
+        ref = weakref.ref(out)
+        out._parents, out._backward = parents, lambda: backward(ref().grad)
     return out
 
 
@@ -220,9 +217,10 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
 def keep_freed_memory() -> None:
-    """Make glibc's allocator keep the memory of released tapes in the process.
+    """Make glibc's allocator keep the memory of freed tapes in the process.
 
-    ``release_tape`` and ``no_tape`` free a step's arrays at once. By
+    A tape holds no reference cycles: ``backward`` consumes it as it walks
+    it, and ``no_tape`` records none, so a step's arrays are freed at once. By
     default glibc then trims the emptied heap and unmaps the large arrays,
     so the next training step or inference batch page-faults the same
     memory in again. This serves arrays below 32 MiB from the heap and
@@ -298,8 +296,7 @@ def conv1d(x, kernels, bias, stride: int = 1) -> Tensor:
     out_vals = np.ascontiguousarray(out_btc.transpose(0, 2, 1))
     out = Tensor(out_vals)
 
-    def _bwd():
-        g = out.grad  # [B,cout,T]
+    def _bwd(g):  # g: [B,cout,T]
         g_btc = np.ascontiguousarray(g.transpose(0, 2, 1))  # [B,T,cout]
         _accumulate(bias, g.sum(axis=(0, 2)))
         g_w = np.tensordot(g_btc, cols, axes=([0, 1], [0, 1]))  # [cout, cin*k]
@@ -342,8 +339,8 @@ def window_gather(x, rows, offsets, width: int) -> Tensor:
     windows = sliding_window_view(xv, width, axis=2)[rows, :, offsets]  # [B,C,width]
     out = Tensor(windows.reshape(batch, channels * width))
 
-    def _bwd():
-        g = out.grad.reshape(batch, channels, width)
+    def _bwd(g):
+        g = g.reshape(batch, channels, width)
         g_x = np.zeros_like(xv)
         for b in range(batch):  # in window order; overlapping windows add up
             g_x[rows[b], :, offsets[b] : offsets[b] + width] += g[b]
@@ -369,8 +366,7 @@ def dense(x, weights, bias) -> Tensor:
         )
     out = Tensor(xv @ wv.T + bv)
 
-    def _bwd():
-        g = out.grad
+    def _bwd(g):
         _accumulate(weights, g.T @ xv)
         _accumulate(bias, g.sum(axis=0))
         _accumulate(x, g @ wv)
@@ -383,8 +379,8 @@ def relu(x) -> Tensor:
     _check_finite(x.values, "relu")
     out = Tensor(np.maximum(x.values, 0.0))
 
-    def _bwd():
-        _accumulate(x, out.grad * (x.values > 0.0))
+    def _bwd(g):
+        _accumulate(x, g * (x.values > 0.0))
 
     return _record(out, _bwd, x)
 
@@ -400,8 +396,8 @@ def sigmoid(x) -> Tensor:
     vals[~pos] = e / (1.0 + e)
     out = Tensor(vals)
 
-    def _bwd():
-        _accumulate(x, out.grad * out.values * (1.0 - out.values))
+    def _bwd(g):
+        _accumulate(x, g * vals * (1.0 - vals))
 
     return _record(out, _bwd, x)
 
@@ -415,9 +411,9 @@ def softmax(x) -> Tensor:
     vals = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(vals)
 
-    def _bwd():
-        inner = (out.grad * out.values).sum(axis=-1, keepdims=True)
-        _accumulate(x, (out.grad - inner) * out.values)
+    def _bwd(g):
+        inner = (g * vals).sum(axis=-1, keepdims=True)
+        _accumulate(x, (g - inner) * vals)
 
     return _record(out, _bwd, x)
 
@@ -426,8 +422,8 @@ def reshape(x, shape) -> Tensor:
     x = _lift(x)
     out = Tensor(x.values.reshape(shape))
 
-    def _bwd():
-        _accumulate(x, out.grad.reshape(x.values.shape))
+    def _bwd(g):
+        _accumulate(x, g.reshape(x.values.shape))
 
     return _record(out, _bwd, x)
 
@@ -440,9 +436,9 @@ def add(a, b) -> Tensor:
         raise ValueError(f"add: shape mismatch {av.shape} vs {bv.shape}")
     out = Tensor(av + bv)
 
-    def _bwd():
-        _accumulate(a, out.grad)
-        _accumulate(b, out.grad)
+    def _bwd(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _record(out, _bwd, a, b)
 
@@ -452,8 +448,8 @@ def scale(x, c: float) -> Tensor:
     c = float(c)
     out = Tensor(x.values * c)
 
-    def _bwd():
-        _accumulate(x, out.grad * c)
+    def _bwd(g):
+        _accumulate(x, g * c)
 
     return _record(out, _bwd, x)
 
@@ -467,8 +463,8 @@ def mse_loss(prediction, target) -> Tensor:
     diff = pv - tv
     out = Tensor(np.mean(diff * diff))
 
-    def _bwd():
-        g = out.grad * 2.0 / diff.size
+    def _bwd(g):
+        g = g * 2.0 / diff.size
         _accumulate(prediction, g * diff)
         _accumulate(target, -g * diff)
 
@@ -505,8 +501,8 @@ def cross_entropy_loss(probabilities, targets) -> Tensor:
     clipped = np.maximum(pv, CROSS_ENTROPY_CLIP)
     out = Tensor(-np.sum(tv * np.log(clipped)) / n_rows)
 
-    def _bwd():
-        g = np.where(pv >= CROSS_ENTROPY_CLIP, -tv / clipped, 0.0)
-        _accumulate(probabilities, out.grad * g / n_rows)
+    def _bwd(g):
+        d = np.where(pv >= CROSS_ENTROPY_CLIP, -tv / clipped, 0.0)
+        _accumulate(probabilities, g * d / n_rows)
 
     return _record(out, _bwd, probabilities)

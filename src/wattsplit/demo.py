@@ -18,8 +18,8 @@ from .model import ConvLayerSpec, DisaggNet, NetConfig
 from .series import PowerSeries
 from .states import ApplianceStateModel, cluster_states
 from .synth import SyntheticScenario, demo_scenario, generate
-from .trainer import (DisaggregationResult, TrainConfig, TrainReport,
-                      disaggregate, train)
+from .trainer import (GUMBEL_VARIANTS, DisaggregationResult, TrainConfig,
+                      TrainReport, disaggregate, train)
 from .windows import WindowConfig, make_windows
 
 __all__ = ["demo_window", "demo_net_config", "ApplianceOutcome", "DemoOutcome",
@@ -78,7 +78,7 @@ class DemoOutcome:
 
 
 def _training_mode(variant: str) -> str:
-    return "hard" if variant in ("hard", "hard_median") else "plain"
+    return "hard" if variant in GUMBEL_VARIANTS else "plain"
 
 
 def run_demo(duration: int = 200_000, seed: int = 7, epochs: int = 10,

@@ -76,6 +76,13 @@ class NetConfig:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not isinstance(self.conv_stack, (list, tuple)):
+            raise ValueError(f"conv_stack must be a list of layers, got {self.conv_stack!r}")
+        for layer in self.conv_stack:
+            if not (isinstance(layer, ConvLayerSpec)
+                    or isinstance(layer, (list, tuple)) and 2 <= len(layer) <= 3):
+                raise ValueError(f"conv layer {layer!r} is not [filters, kernel] or "
+                                 "[filters, kernel, stride]")
         object.__setattr__(self, "conv_stack",
                            tuple(ConvLayerSpec(*s) if not isinstance(s, ConvLayerSpec) else s
                                  for s in self.conv_stack))
@@ -276,8 +283,7 @@ def combine(ratings, probs) -> Tensor:
         )
     out = Tensor(np.einsum("...sl,...l->...s", pv, rv))
 
-    def _bwd():
-        g = out.grad
+    def _bwd(g):
         ad._accumulate(probs, g[..., :, None] * rv[..., None, :])
         ad._accumulate(ratings, np.einsum("...s,...sl->...l", g, pv))
 

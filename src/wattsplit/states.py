@@ -19,6 +19,7 @@ __all__ = [
     "label_states",
     "save_state_model",
     "load_state_model",
+    "check_keys",
     "ON_THRESHOLD_W",
 ]
 
@@ -146,9 +147,26 @@ def save_state_model(model: ApplianceStateModel, path) -> None:
         fh.write("\n")
 
 
+def check_keys(doc, where: str, required, optional=()) -> dict:
+    """``doc``, if it is a JSON object that holds every key of ``required``
+    and no key outside ``required`` and ``optional``; else a ValueError that
+    names ``where`` and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{where}: missing key {key!r}")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    return doc
+
+
 def load_state_model(path) -> ApplianceStateModel:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = check_keys(json.load(fh), str(path),
+                         ("name", "state_count", "centroids", "norm_mean", "norm_std"),
+                         ("on_threshold",))
     model = ApplianceStateModel(
         name=doc["name"],
         centroids=np.asarray(doc["centroids"], dtype=np.float64),

@@ -9,11 +9,12 @@ optional Gaussian noise, clipped at 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .series import PowerSeries
+from .states import check_keys
 
 __all__ = [
     "ApplianceSpec",
@@ -149,9 +150,14 @@ def save_scenario(scenario: SyntheticScenario, path) -> None:
 
 def load_scenario(path) -> SyntheticScenario:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = check_keys(json.load(fh), str(path), ("appliances", "duration"),
+                         ("period", "unknown_load", "noise_std", "start_time", "seed"))
+    if not isinstance(doc["appliances"], list):
+        raise ValueError(f"{path}: key 'appliances' must hold a list")
+    spec_keys = [f.name for f in fields(ApplianceSpec)]
     return SyntheticScenario(
-        appliances=[ApplianceSpec(**a) for a in doc["appliances"]],
+        appliances=[ApplianceSpec(**check_keys(a, f"{path}: appliances[{i}]", spec_keys))
+                    for i, a in enumerate(doc["appliances"])],
         duration=int(doc["duration"]),
         period=int(doc.get("period", 6)),
         unknown_load=float(doc.get("unknown_load", 0.0)),

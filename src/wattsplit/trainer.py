@@ -16,6 +16,7 @@ from .windows import WindowConfig, WindowedExample, input_window, shared_rows
 
 __all__ = [
     "VARIANTS",
+    "GUMBEL_VARIANTS",
     "TrainConfig",
     "EpochStats",
     "TrainReport",
@@ -25,6 +26,7 @@ __all__ = [
 ]
 
 VARIANTS = ("plain", "median", "hard", "hard_median")
+GUMBEL_VARIANTS = ("hard", "hard_median")  # trained through the gumbel gate
 
 
 @dataclass
@@ -111,9 +113,10 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
     The loss is built on stand-ins for the outputs of the two subnetworks.
     After its backward pass, each subnetwork runs its own backward pass and
     then the update of its own ``Adam``, as one task of
-    ``autodiff.run_pair``, and unlinks its tape, so that its memory is
-    freed by reference counting. The two tasks touch disjoint parameters,
-    so the result is the same bits on one thread or two.
+    ``autodiff.run_pair``. Tapes hold no reference cycles and ``backward``
+    consumes them, so each step's memory is freed by reference counting.
+    The two tasks touch disjoint parameters, so the result is the same bits
+    on one thread or two.
     """
     from .optim import Adam
 
@@ -129,7 +132,7 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
     seq = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(seq[0])
     gumbel_rng = np.random.default_rng(seq[1])
-    hard_training = cfg.variant in ("hard", "hard_median")
+    hard_training = cfg.variant in GUMBEL_VARIANTS
     power, state = ((net.params, Adam(learning_rate=cfg.learning_rate))
                     for net in (model.power_net, model.state_net))
     n = len(examples)
@@ -142,7 +145,6 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
             ratings = ad.Tensor(outputs.ratings.values)  # the stand-ins
             logits = ad.Tensor(outputs.state_logits.values)
             fwd = head_pass(ratings, logits)
-            clean_combined = fwd.combined  # off the loss's tape in the hard variants
             if hard_training:
                 g = sample_gumbel(logits.shape, gumbel_rng)
                 noisy = ad.softmax(ad.scale(ad.add(logits, g), 1.0 / model.config.tau))
@@ -158,9 +160,6 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
             ad.run_pair(
                 lambda: _backward_and_step(outputs.ratings, ratings.grad, *power),
                 lambda: _backward_and_step(outputs.state_logits, logits.grad, *state))
-            # freed now, not at the cycle collector's next pass
-            for root in (loss, clean_combined, outputs.combined):
-                ad.release_tape(root)
             weight = len(sel)
             sums += weight * np.array([float(loss.values), float(out_term.values),
                                        float(state_term.values)])
@@ -177,7 +176,6 @@ def _backward_and_step(out, grad, params, optimizer) -> None:
     loss with respect to its output."""
     out.backward(grad)
     optimizer.step(params)
-    ad.release_tape(out)
 
 
 @dataclass
@@ -250,6 +248,10 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     norm = normalize(mains, state_model.norm_mean, state_model.norm_std)
     pad = normalize(np.zeros(1), state_model.norm_mean, state_model.norm_std)[0]
 
+    def gate(rows):  # argmax unless plain, then the median filter for the median variants
+        rows = rows if variant == "plain" else hard_gate(rows)
+        return median_filter(rows, filter_cfg) if variant in ("median", "hard_median") else rows
+
     def window_outputs():
         for lo in range(0, len(starts), batch_size):
             chunk = starts[lo : lo + batch_size]
@@ -259,22 +261,15 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
                                   WindowConfig(extent + s, cfg.window.w), pad)
             with ad.no_tape():  # each layer's arrays are freed once the next has read them
                 fwd = model.forward_tensors(inputs, window_row, offsets)
-            rows, values = fwd.state_probs.values, fwd.combined.values
+            rows, values = gate(fwd.state_probs.values), fwd.combined.values
             if variant != "plain":
-                rows = hard_gate(rows)
-                if variant in ("median", "hard_median"):
-                    rows = median_filter(rows, filter_cfg)
                 values = combine_hard(fwd.ratings.values, rows)
             yield from zip(chunk, np.concatenate([values[..., None], rows], axis=-1))
 
     merged = reconcile_overlaps(window_outputs(), total)
     estimate = np.maximum(
         denormalize(merged[:, 0], state_model.norm_mean, state_model.norm_std), 0.0)
-    states = merged[:, 1:]
-    if variant != "plain":
-        states = hard_gate(states)
-        if variant in ("median", "hard_median"):
-            states = median_filter(states, filter_cfg)
+    states = gate(merged[:, 1:])
     return DisaggregationResult(
         appliance=state_model.name,
         estimate=PowerSeries(mains.start_time, mains.period, estimate),

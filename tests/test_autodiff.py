@@ -1,5 +1,8 @@
 """Autodiff kernel: forward values against oracles, gradients against
-central finite differences."""
+central finite differences, and the tape's lifetime."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,9 @@ from hypothesis import strategies as st
 from conftest import (central_difference, conv1d_scalar, cross_entropy_scalar,
                       relative_error)
 from wattsplit.autodiff import (Tensor, add, conv1d, cross_entropy_loss, dense,
-                                mse_loss, release_tape, relu, reshape, scale, sigmoid,
-                                softmax, window_gather)
+                                mse_loss, relu, reshape, scale, sigmoid, softmax,
+                                window_gather)
+from wattsplit.model import combine
 
 FD_TOL = 1e-5
 
@@ -28,23 +32,6 @@ class TestTensor:
         with pytest.raises(ValueError, match="scalar"):
             Tensor([1.0, 2.0]).backward()
 
-    def test_released_tape_is_freed_without_the_cycle_collector(self):
-        import gc
-        import weakref
-        x = Tensor(np.ones((2, 3)))
-        out = softmax(relu(x))
-        values = out.values.copy()
-        alive = weakref.ref(out.values)
-        release_tape(out)
-        np.testing.assert_array_equal(out.values, values)
-        assert out._backward is None and out._parents == ()
-        gc.disable()
-        try:
-            del out
-            assert alive() is None
-        finally:
-            gc.enable()
-
     def test_grad_accumulates_across_shared_use(self):
         x = Tensor([2.0, 3.0])
         y = add(x, x)  # dy/dx = 2
@@ -53,6 +40,61 @@ class TestTensor:
         expected = central_difference(
             lambda v: float(np.mean((v + v) ** 2)), np.array([2.0, 3.0]))
         assert relative_error(x.grad, expected) < FD_TOL
+
+
+# every operation that records a closure, applied to fresh leaf tensors
+RECORDING_OPS = {
+    "conv1d": lambda r: conv1d(Tensor(r.normal(size=(2, 3, 10))),
+                               Tensor(r.normal(size=(4, 3, 3))),
+                               Tensor(r.normal(size=4)), stride=2),
+    "window_gather": lambda r: window_gather(Tensor(r.normal(size=(2, 3, 10))),
+                                             np.array([0, 1, 1]), np.array([0, 2, 5]), 4),
+    "dense": lambda r: dense(Tensor(r.normal(size=(3, 5))), Tensor(r.normal(size=(4, 5))),
+                             Tensor(r.normal(size=4))),
+    "relu": lambda r: relu(Tensor(r.normal(size=(3, 4)))),
+    "sigmoid": lambda r: sigmoid(Tensor(r.normal(size=(3, 4)))),
+    "softmax": lambda r: softmax(Tensor(r.normal(size=(3, 4)))),
+    "reshape": lambda r: reshape(Tensor(r.normal(size=(3, 4))), (4, 3)),
+    "add": lambda r: add(Tensor(r.normal(size=(3, 4))), Tensor(r.normal(size=(3, 4)))),
+    "scale": lambda r: scale(Tensor(r.normal(size=(3, 4))), 0.5),
+    "mse_loss": lambda r: mse_loss(Tensor(r.normal(size=(3, 4))),
+                                   Tensor(r.normal(size=(3, 4)))),
+    "cross_entropy_loss": lambda r: cross_entropy_loss(Tensor(np.full((3, 4), 0.25)),
+                                                       np.eye(4)[[0, 2, 3]]),
+    "combine": lambda r: combine(Tensor(r.normal(size=(2, 3))),
+                                 Tensor(np.full((2, 5, 3), 1.0 / 3.0))),
+}
+
+
+class TestTape:
+    @pytest.mark.parametrize("op", sorted(RECORDING_OPS))
+    def test_dropped_tape_is_freed_without_the_cycle_collector(self, op, rng):
+        gc.disable()
+        try:
+            mid = RECORDING_OPS[op](rng)
+            root = scale(mid, 2.0)
+            assert mid._backward is not None and root._parents == (mid,)
+            alive = weakref.ref(mid.values)
+            del mid, root
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("op", sorted(RECORDING_OPS))
+    def test_backward_consumes_the_tape(self, op, rng):
+        out = RECORDING_OPS[op](rng)
+        loss = mse_loss(out, np.zeros(out.shape))
+        walked, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            walked.append(node)
+            stack.extend(node._parents)
+        leaves = [node for node in walked if not node._parents]
+        assert out in walked and out._backward is not None
+        loss.backward()
+        for node in walked:
+            assert node._backward is None and node._parents == ()
+        assert all(leaf.grad is not None for leaf in leaves)
 
 
 class TestConv1d:

@@ -177,6 +177,24 @@ class TestCorruption:
         with pytest.raises(ValueError, match=r"implies \d+ bytes.*only \d+ bytes"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value,layer", [
+        ("5", "5"),
+        ("[[3, 3, 1, 1], [4, 3, 1]]", r"\[3, 3, 1, 1\]"),
+    ])
+    def test_malformed_conv_stack_rejected_before_allocation(self, tmp_path, monkeypatch,
+                                                             value, layer):
+        entries = checkpoint._config_entries
+        monkeypatch.setattr(checkpoint, "_config_entries", lambda model: [
+            (k, value if k == "conv_stack" else v) for k, v in entries(model)])
+        path = tmp_path / "bad.ddnn"
+        save_checkpoint(small_net(), path)
+
+        def refuse(config):
+            raise AssertionError(f"DisaggNet built for {config}")
+        monkeypatch.setattr(checkpoint, "DisaggNet", refuse)
+        with pytest.raises(ValueError, match=f"conv.*{layer}"):
+            load_checkpoint(path)
+
     def test_garbage_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.ddnn"
         bad.write_bytes(b"not a checkpoint at all")

@@ -129,6 +129,18 @@ class TestSynth:
         np.testing.assert_allclose(mains, total, atol=1e-6)  # 6-decimal CSV
 
 
+    def test_unknown_scenario_key_is_reported(self, tmp_path, capsys):
+        scenario_path = tmp_path / "sc.json"
+        save_scenario(small_scenario(), scenario_path)
+        doc = json.loads(scenario_path.read_text())
+        doc["appliances"][0]["bogus"] = 1
+        scenario_path.write_text(json.dumps(doc))
+        assert main(["synth", "--scenario", str(scenario_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown key 'bogus'" in err
+
+
 class TestStates:
     def test_model_recovers_ratings(self, workspace):
         model = load_state_model(workspace / "heater_model.json")
@@ -319,6 +331,17 @@ class TestDisaggregate:
         assert echo["command"] == "disaggregate"
         assert echo["variant"] == "hard-median"
 
+    def test_state_model_that_is_not_an_object_is_reported(self, workspace, tmp_path,
+                                                          capsys):
+        bad = tmp_path / "states.json"
+        bad.write_text("[]")
+        assert main(["disaggregate",
+                     "--checkpoint", str(workspace / "run" / "checkpoint.ddnn"),
+                     "--mains", str(workspace / "data" / "mains.csv"),
+                     "--state-model", str(bad), "--out", str(tmp_path / "est")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "states.json: expected a JSON object" in err
+
     def test_unknown_variant_is_a_usage_error(self, workspace):
         with pytest.raises(SystemExit) as exc:
             main(["disaggregate", "--checkpoint", "x", "--mains", "y",
@@ -338,7 +361,8 @@ class TestDisaggregate:
         assert exc.value.code == 2
 
     def test_stride_beyond_window_is_reported(self, workspace, tmp_path, capsys):
-        assert main(["disaggregate", "--checkpoint", str(workspace / "run" / "checkpoint.ddnn"),
+        assert main(["disaggregate",
+                     "--checkpoint", str(workspace / "run" / "checkpoint.ddnn"),
                      "--mains", str(workspace / "data" / "mains.csv"),
                      "--state-model", str(workspace / "heater_model.json"),
                      "--stride", "5000", "--out", str(tmp_path / "o")]) == 1

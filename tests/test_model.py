@@ -201,6 +201,20 @@ class TestForward:
         finally:
             gc.enable()
 
+    def test_dropped_tape_leaves_no_reference_cycles(self, rng):
+        import gc
+        net = DisaggNet(tiny_config())
+        x = rng.normal(size=(3, net.config.window.input_length))
+        gc.collect()
+        gc.disable()
+        try:
+            fwd = net.forward_tensors(x)
+            assert fwd.combined._backward is not None
+            del fwd
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("stack", [((3, 3), (4, 3)), ((3, 3, 2), (4, 3))])
     def test_windows_sharing_rows_match_one_row_per_window(self, rng, stack):
         cfg = NetConfig(window=WindowConfig(s=4, w=3), state_count=3,

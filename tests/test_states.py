@@ -142,6 +142,19 @@ class TestStateModelIO:
         with pytest.raises(ValueError, match="state_count"):
             load_state_model(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: [], "expected a JSON object, got list"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "state_count"},
+         "missing key 'state_count'"),
+        (lambda doc: dict(doc, bogus=1), "unknown key 'bogus'"),
+    ])
+    def test_malformed_document_names_file_and_key(self, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        save_state_model(model_with([0.0, 100.0]), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match="model.json: " + message):
+            load_state_model(path)
+
 
 class TestBenchmarkPresets:
     def test_fixture_matches_presets_module(self):

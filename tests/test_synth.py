@@ -1,4 +1,6 @@
 """Synthetic scenario generator: composition, duty cycles, determinism."""
+import json
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,23 @@ class TestScenarioIO:
         save_scenario(sc, path)
         back = load_scenario(path)
         assert back == sc
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: [1], r"sc.json: expected a JSON object, got list"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "duration"},
+         r"sc.json: missing key 'duration'"),
+        (lambda doc: dict(doc, bogus=1), r"sc.json: unknown key 'bogus'"),
+        (lambda doc: dict(doc, appliances=[1]),
+         r"sc.json: appliances\[0\]: expected a JSON object, got int"),
+        (lambda doc: dict(doc, appliances=[dict(doc["appliances"][0], bogus=1)]),
+         r"sc.json: appliances\[0\]: unknown key 'bogus'"),
+        (lambda doc: dict(doc, appliances=[{"name": "x"}]),
+         r"sc.json: appliances\[0\]: missing key 'centroids'"),
+        (lambda doc: dict(doc, appliances=5), r"sc.json: key 'appliances' must hold a list"),
+    ])
+    def test_malformed_document_names_file_and_key(self, tmp_path, edit, message):
+        path = tmp_path / "sc.json"
+        save_scenario(demo_scenario(duration=1234), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=message):
+            load_scenario(path)
