@@ -163,21 +163,16 @@ def blas_threads() -> int | None:
 
 
 @functools.cache
-def _two_threads() -> bool:
-    """Whether ``run_pair`` uses its worker thread: only when OpenBLAS runs
-    on one thread and the process may use at least two cores, as probed
-    at the first call. With more BLAS threads the pair competes with them
-    and runs slower."""
+def subnetworks_on_two_threads() -> bool:
+    """Whether ``run_pair``, and so the twin subnetworks, use two threads:
+    only when OpenBLAS runs on one thread and the process may use at least
+    two cores, as probed at the first call. With more BLAS threads the pair
+    competes with them and runs slower."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
     return blas_threads() == 1 and cores >= 2
-
-
-def subnetworks_on_two_threads() -> bool:
-    """Whether ``run_pair``, and so the twin subnetworks, use two threads."""
-    return _two_threads()
 
 
 _worker_lock = threading.Lock()  # so that two first calls make one worker
@@ -194,7 +189,7 @@ def run_pair(first, second):
     ``second`` runs on this one where ``subnetworks_on_two_threads()``, else
     one after the other here. Both run in this thread's tape mode. The two
     must not write to the same arrays or tensors."""
-    if not _two_threads():
+    if not subnetworks_on_two_threads():
         return first(), second()
     off = _tape.off
 

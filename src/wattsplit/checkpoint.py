@@ -156,7 +156,9 @@ def load_checkpoint(path) -> DisaggNet:
                     f"match config shape {param.tensor.values.shape}"
                 )
             n = int(np.prod(shape)) if shape else 1
-            raw = r.read(8 * n, f"values of {name!r}")
-            param.tensor.values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            values = np.frombuffer(r.read(8 * n, f"values of {name!r}"), dtype="<f8")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"parameter {name!r} in checkpoint holds a NaN or Inf value")
+            param.tensor.values = values.reshape(shape).copy()
             param.tensor.grad = None
         return model

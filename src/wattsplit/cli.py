@@ -24,7 +24,7 @@ from .model import DEFAULT_CONV_STACK, DisaggNet, NetConfig
 from .postprocess import FilterConfig
 from .presets import GRID_PERIOD_S, window_for
 from .series import PowerSeries, fill_gaps, load_csv, save_columns, save_csv
-from .states import cluster_states, load_state_model, save_state_model
+from .states import check_value, cluster_states, load_state_model, save_state_model
 from .synth import generate, load_scenario
 from .trainer import TrainConfig, disaggregate, train
 from .windows import WindowConfig, make_windows
@@ -54,25 +54,12 @@ TRAIN_DEFAULTS = {
 }
 
 
-def _check_setting(key: str, value) -> None:
-    """Reject a config value whose JSON type does not fit its setting.
-
-    A setting has its default's type; ``stride`` takes an int and the input
-    paths a string, or null as by default. A bool is not an int, an int is
-    accepted as a float, and ``conv_stack`` is a flag string or a list of
-    [filters, kernel(, stride)] integer lists.
-    """
-    default = TRAIN_DEFAULTS[key]
-    if value is None and default is None:
-        return
-    kind = type(default) if default is not None else int if key == "stride" else str
-    ok = type(value) in {float: (int, float), list: (list, str)}.get(kind, (kind,))
-    if ok and type(value) is list:
-        ok = all(type(layer) is list and len(layer) in (2, 3)
-                 and all(type(x) is int for x in layer) for layer in value)
-    if not ok:
-        raise ValueError(f"config key {key!r}: {value!r} does not fit the "
-                         f"setting's type ({kind.__name__})")
+# the JSON kind of each setting (states.check_value): its default's type,
+# or null as by default for the stride and the input paths; conv_stack is a
+# flag string or a list of [filters, kernel(, stride)] lists
+TRAIN_KINDS = {key: type(value) for key, value in TRAIN_DEFAULTS.items()} | {
+    "stride": (None, int), "conv_stack": (str, [[int]]),
+    "mains": (None, str), "appliance": (None, str), "state_model": (None, str)}
 
 
 def _parse_conv_stack(value: str) -> list[list[int]]:
@@ -108,8 +95,8 @@ def _load_config_file(path) -> dict:
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     for key, value in doc.items():
-        _check_setting(key, value)
-        if type(TRAIN_DEFAULTS[key]) is float:
+        check_value(str(path), key, value, TRAIN_KINDS[key])
+        if TRAIN_KINDS[key] is float:
             doc[key] = float(value)
     return doc
 
@@ -191,10 +178,8 @@ def cmd_train(args) -> int:
                              "(flag or config file)")
     variant = VARIANT_FLAGS.get(st["variant"], st["variant"])
     state_model = load_state_model(st["state_model"])
-    mains = _load_series(st["mains"], st["period"])
-    appliance = _load_series(st["appliance"], st["period"])
     window = WindowConfig(st["window_s"], st["window_w"])
-    net = DisaggNet(NetConfig(
+    net = DisaggNet(NetConfig(  # built and checked before the series are read
         window=window,
         state_count=state_model.state_count,
         conv_stack=st["conv_stack"],
@@ -205,6 +190,8 @@ def cmd_train(args) -> int:
     # echo the canonical form so the echo file can be reused as a --config
     st["conv_stack"] = [[c.filters, c.kernel, c.stride] for c in net.config.conv_stack]
     net.dataset_tag = os.path.basename(str(st["mains"]))
+    mains = _load_series(st["mains"], st["period"])
+    appliance = _load_series(st["appliance"], st["period"])
     examples = make_windows(mains, appliance, state_model, window,
                             stride=st["stride"])
     cfg = TrainConfig(batch_size=st["batch_size"], learning_rate=st["learning_rate"],

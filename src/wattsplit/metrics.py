@@ -100,19 +100,19 @@ def evaluate_pair(appliance: str, truth: PowerSeries,
     )
 
 
-def report(results, truths, out_dir=None, plain_results=None) -> MetricReport:
+def report(results, truths, plain_results, out_dir=None) -> MetricReport:
     """Metric rows for each (result, truth) pair; optional plot files.
 
     When ``out_dir`` is given, writes metrics.csv plus one
-    plot_<appliance>.csv per appliance with columns t,truth,plain,variant
-    (the plain column falls back to the variant estimate when no separate
-    plain results are supplied).
+    plot_<appliance>.csv per appliance with columns t,truth,plain,variant,
+    whose plain column is the estimate of the matching ``plain_results``
+    entry.
     """
     import os
 
     if len(results) != len(truths):
         raise ValueError(f"{len(results)} results vs {len(truths)} truth series")
-    if plain_results is not None and len(plain_results) != len(results):
+    if len(plain_results) != len(results):
         raise ValueError("plain_results length does not match results")
     rows = [evaluate_pair(res.appliance, truth, res.estimate)
             for res, truth in zip(results, truths)]
@@ -120,8 +120,7 @@ def report(results, truths, out_dir=None, plain_results=None) -> MetricReport:
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         rep.to_csv(os.path.join(out_dir, "metrics.csv"))
-        for i, (res, truth) in enumerate(zip(results, truths)):
-            plain = plain_results[i] if plain_results is not None else res
+        for res, truth, plain in zip(results, truths, plain_results):
             _check_aligned(truth, plain.estimate)
             save_columns(os.path.join(out_dir, f"plot_{res.appliance}.csv"),
                          "%d,%.6f,%.6f,%.6f\n",

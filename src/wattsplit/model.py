@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import Parameter
+from .series import check_memory
 from .windows import WindowConfig
 
 __all__ = [
@@ -201,9 +202,14 @@ class DisaggNet:
     """Twin-head net: power ratings subnetwork plus state classifier."""
 
     def __init__(self, config: NetConfig):
+        s, l = config.window.s, config.state_count
+        count = config.parameter_count()
+        check_memory(8 * count, f"a net of window_s {s}, window_w {config.window.w}, "
+                     f"{l} states, conv_stack "
+                     f"{[[c.filters, c.kernel, c.stride] for c in config.conv_stack]} "
+                     f"and hidden {config.hidden} has {count} parameter values")
         self.config = config
         rng = np.random.default_rng(config.seed)
-        s, l = config.window.s, config.state_count
         self.power_net = _Subnet("power", config, l, rng)
         self.state_net = _Subnet("state", config, s * l, rng)
         self.epochs_seen = 0

@@ -20,6 +20,7 @@ __all__ = [
     "fill_gaps",
     "normalize",
     "denormalize",
+    "check_memory",
     "SHORT_GAP_LIMIT_S",
 ]
 
@@ -103,12 +104,8 @@ def load_csv(path, expected_period: int) -> PowerSeries:
         bad = int(np.argmin(np.diff(ts) > 0)) + 1
         raise ValueError(f"{path}: non-monotone timestamps around row {bad + 1}")
     n = (ts[-1] - ts[0]) // expected_period + 1
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if not n * 8 <= memory:  # also refuses a non-finite span
-        raise ValueError(
-            f"{path}: timestamps {ts[0]:.0f} to {ts[-1]:.0f} imply a grid of {n:.0f} "
-            f"samples of {expected_period} s ({n * 8:.0f} bytes), more than the "
-            f"machine's {memory} bytes of physical memory")
+    check_memory(n * 8, f"{path}: timestamps {ts[0]:.0f} to {ts[-1]:.0f} imply a grid "
+                        f"of {n:.0f} samples of {expected_period} s")
     grid = ts[0] + expected_period * np.arange(int(n))
     idx = np.searchsorted(ts, grid, side="right") - 1  # latest row <= grid point
     exact = ts[idx] == grid
@@ -116,6 +113,22 @@ def load_csv(path, expected_period: int) -> PowerSeries:
     present = exact | (next_gap <= expected_period)
     values = np.where(present, vs[idx], np.nan)
     return PowerSeries(int(ts[0]), expected_period, values)
+
+
+def physical_memory() -> int:
+    """The machine's physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(nbytes, what: str) -> None:
+    """Refuse arrays of ``nbytes`` that an input implies, before they are
+    built, when they would not fit in physical memory (or ``nbytes`` is not
+    finite): a ValueError that says ``what`` implied them."""
+    memory = physical_memory()
+    if not nbytes <= memory:
+        size = f"{nbytes:.0f}" if isinstance(nbytes, float) else nbytes
+        raise ValueError(f"{what} ({size} bytes), more than the machine's "
+                         f"{memory} bytes of physical memory")
 
 
 def _is_number(text: str) -> bool:

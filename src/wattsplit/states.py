@@ -20,6 +20,7 @@ __all__ = [
     "save_state_model",
     "load_state_model",
     "check_keys",
+    "check_value",
     "ON_THRESHOLD_W",
 ]
 
@@ -88,15 +89,16 @@ def _kmeans_1d(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     return np.sort(best_centers)
 
 
-def cluster_states(series, state_count: int, on_threshold: float = ON_THRESHOLD_W,
-                   seed: int = 0, name: str = "appliance") -> ApplianceStateModel:
+def cluster_states(series: PowerSeries, state_count: int,
+                   on_threshold: float = ON_THRESHOLD_W, seed: int = 0,
+                   name: str = "appliance") -> ApplianceStateModel:
     """Build a state model from an appliance series.
 
     Clusters only readings strictly above ``on_threshold`` into
     state_count - 1 ON ratings; the OFF rating is fixed at 0 W.
     Normalization statistics are the full-series mean and population std.
     """
-    values = series.values if isinstance(series, PowerSeries) else np.asarray(series, dtype=np.float64)
+    values = series.values
     if np.any(np.isnan(values)):
         raise ValueError("series has missing values; run fill_gaps first")
     if state_count < 2:
@@ -122,10 +124,10 @@ def cluster_states(series, state_count: int, on_threshold: float = ON_THRESHOLD_
     )
 
 
-def label_states(values, model: ApplianceStateModel) -> np.ndarray:
+def label_states(series: PowerSeries, model: ApplianceStateModel) -> np.ndarray:
     """One-hot state labels [T, l]: nearest centroid, ties to the lower
     index, readings at or below the ON threshold forced to OFF."""
-    v = values.values if isinstance(values, PowerSeries) else np.asarray(values, dtype=np.float64)
+    v = series.values
     if np.any(np.isnan(v)):
         raise ValueError("values have missing entries; run fill_gaps first")
     idx = np.argmin(np.abs(v[:, None] - model.centroids[None, :]), axis=1)
@@ -147,25 +149,66 @@ def save_state_model(model: ApplianceStateModel, path) -> None:
         fh.write("\n")
 
 
-def check_keys(doc, where: str, required, optional=()) -> dict:
-    """``doc``, if it is a JSON object that holds every key of ``required``
-    and no key outside ``required`` and ``optional``; else a ValueError that
-    names ``where`` and the key."""
+# the names of the JSON kinds in error messages, singular and plural
+_KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings"), bool: ("true or false", "booleans"),
+               list: ("a list", "lists"), None: ("null", "nulls")}
+
+
+def _fits(value, kind) -> bool:
+    if type(kind) is tuple:
+        return any(_fits(value, k) for k in kind)
+    if type(kind) is list:
+        return type(value) is list and all(_fits(v, kind[0]) for v in value)
+    if kind is None:
+        return value is None
+    return type(value) is kind or kind is float and type(value) is int
+
+
+def _kind_name(kind, plural: bool = False) -> str:
+    if type(kind) is tuple:
+        return " or ".join(_kind_name(k, plural) for k in kind)
+    if type(kind) is list:
+        return ("lists of " if plural else "a list of ") + _kind_name(kind[0], True)
+    return _KIND_NAMES[kind][plural]
+
+
+def check_value(where: str, key: str, value, kind) -> None:
+    """Raise a ValueError that names ``where`` and ``key`` unless the JSON
+    ``value`` fits ``kind``.
+
+    A kind is ``int``, ``float``, ``str``, ``bool`` or ``list`` (its items
+    unchecked), ``None`` for null, ``[k]`` for a list whose items each fit
+    ``k``, or a tuple of kinds of which one must fit. A bool is not a
+    number, and an int is accepted as a float.
+    """
+    if not _fits(value, kind):
+        raise ValueError(f"{where}: key {key!r} must hold {_kind_name(kind)}, "
+                         f"got {value!r}")
+
+
+def check_keys(doc, where: str, kinds: dict, optional=()) -> dict:
+    """``doc``, if it is a JSON object that holds every key of ``kinds`` but
+    those in ``optional``, no other key, and under each key a value that
+    fits its kind (``check_value``); else a ValueError that names ``where``
+    and the key."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    for key in required:
-        if key not in doc:
+    for key in kinds:
+        if key not in doc and key not in optional:
             raise ValueError(f"{where}: missing key {key!r}")
-    for key in doc:
-        if key not in required and key not in optional:
+    for key, value in doc.items():
+        if key not in kinds:
             raise ValueError(f"{where}: unknown key {key!r}")
+        check_value(where, key, value, kinds[key])
     return doc
 
 
 def load_state_model(path) -> ApplianceStateModel:
     with open(path, "r", encoding="utf-8") as fh:
         doc = check_keys(json.load(fh), str(path),
-                         ("name", "state_count", "centroids", "norm_mean", "norm_std"),
+                         {"name": str, "state_count": int, "centroids": [float],
+                          "norm_mean": float, "norm_std": float, "on_threshold": float},
                          ("on_threshold",))
     model = ApplianceStateModel(
         name=doc["name"],
@@ -174,7 +217,7 @@ def load_state_model(path) -> ApplianceStateModel:
         norm_std=float(doc["norm_std"]),
         on_threshold=float(doc.get("on_threshold", ON_THRESHOLD_W)),
     )
-    if int(doc["state_count"]) != model.state_count:
+    if doc["state_count"] != model.state_count:
         raise ValueError(
             f"{path}: state_count {doc['state_count']} does not match "
             f"{model.state_count} centroids"

@@ -9,11 +9,11 @@ optional Gaussian noise, clipped at 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import PowerSeries
+from .series import PowerSeries, check_memory
 from .states import check_keys
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "SyntheticScenario",
     "activation_rate_for_duty",
     "generate",
-    "save_scenario",
     "load_scenario",
     "demo_scenario",
 ]
@@ -69,6 +68,10 @@ class SyntheticScenario:
         names = [a.name for a in self.appliances]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate appliance names: {names}")
+        arrays = 2 * len(self.appliances) + 1  # generate's traces, state indices and mains
+        check_memory(8 * arrays * self.duration,
+                     f"scenario duration {self.duration} implies {arrays} arrays of "
+                     f"{self.duration} 8-byte values")
 
 
 def activation_rate_for_duty(duty: float, mean_on_duration: float) -> float:
@@ -125,45 +128,24 @@ def generate(scenario: SyntheticScenario):
     return mains, appliances, state_seqs
 
 
-def save_scenario(scenario: SyntheticScenario, path) -> None:
-    doc = {
-        "appliances": [
-            {
-                "name": a.name,
-                "centroids": a.centroids,
-                "mean_on_duration": a.mean_on_duration,
-                "activation_rate": a.activation_rate,
-            }
-            for a in scenario.appliances
-        ],
-        "duration": scenario.duration,
-        "period": scenario.period,
-        "unknown_load": scenario.unknown_load,
-        "noise_std": scenario.noise_std,
-        "start_time": scenario.start_time,
-        "seed": scenario.seed,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def load_scenario(path) -> SyntheticScenario:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = check_keys(json.load(fh), str(path), ("appliances", "duration"),
+        doc = check_keys(json.load(fh), str(path),
+                         {"appliances": list, "duration": int, "period": int,
+                          "unknown_load": float, "noise_std": float,
+                          "start_time": int, "seed": int},
                          ("period", "unknown_load", "noise_std", "start_time", "seed"))
-    if not isinstance(doc["appliances"], list):
-        raise ValueError(f"{path}: key 'appliances' must hold a list")
-    spec_keys = [f.name for f in fields(ApplianceSpec)]
+    spec_kinds = {"name": str, "centroids": [float], "mean_on_duration": float,
+                  "activation_rate": float}
     return SyntheticScenario(
-        appliances=[ApplianceSpec(**check_keys(a, f"{path}: appliances[{i}]", spec_keys))
+        appliances=[ApplianceSpec(**check_keys(a, f"{path}: appliances[{i}]", spec_kinds))
                     for i, a in enumerate(doc["appliances"])],
-        duration=int(doc["duration"]),
-        period=int(doc.get("period", 6)),
+        duration=doc["duration"],
+        period=doc.get("period", 6),
         unknown_load=float(doc.get("unknown_load", 0.0)),
         noise_std=float(doc.get("noise_std", 0.0)),
-        start_time=int(doc.get("start_time", 0)),
-        seed=int(doc.get("seed", 0)),
+        start_time=doc.get("start_time", 0),
+        seed=doc.get("seed", 0),
     )
 
 

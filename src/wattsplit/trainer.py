@@ -27,6 +27,7 @@ __all__ = [
 
 VARIANTS = ("plain", "median", "hard", "hard_median")
 GUMBEL_VARIANTS = ("hard", "hard_median")  # trained through the gumbel gate
+INFER_BATCH_WINDOWS = 256  # windows per forward pass in disaggregate
 
 
 @dataclass
@@ -189,14 +190,13 @@ class DisaggregationResult:
 def disaggregate(model: DisaggNet, mains: PowerSeries,
                  state_model: ApplianceStateModel, variant: str = "plain",
                  stride: int | None = None,
-                 filter_cfg: FilterConfig = FilterConfig(),
-                 batch_size: int = 256) -> DisaggregationResult:
+                 filter_cfg: FilterConfig = FilterConfig()) -> DisaggregationResult:
     """Slide the net over a mains series and merge window estimates.
 
     Windows start every ``stride`` samples (default and maximum ``s``, so
     no sample falls between windows), plus a tail window when the stride
-    misses the last valid start. Each batch of ``batch_size`` windows runs
-    as one pipeline over ``[B, s, l]`` state rows: gather -> forward ->
+    misses the last valid start. Each batch of ``INFER_BATCH_WINDOWS``
+    windows runs as one pipeline over ``[B, s, l]`` state rows: gather -> forward ->
     argmax gate (hard variants) -> median filter along each window's own
     s rows (median variants) -> combine.
 
@@ -223,10 +223,11 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     the filter is defined on an appliance's state sequence as a whole and
     window-local filtering cannot see across window boundaries.
 
-    Model parameters are never modified. The output bits depend on
-    ``batch_size`` as well as on the BLAS thread count: OpenBLAS rounds a
-    forward pass differently for different batch sizes, by up to 1.1e-13 W
-    in the estimate of a demo-size net.
+    Model parameters are never modified. The output bits depend on the
+    BLAS thread count, and would depend on the batch size too (OpenBLAS
+    rounds a forward pass differently for different batch sizes, by up to
+    1.1e-13 W in the estimate of a demo-size net), which is why that is a
+    constant.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -253,8 +254,8 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
         return median_filter(rows, filter_cfg) if variant in ("median", "hard_median") else rows
 
     def window_outputs():
-        for lo in range(0, len(starts), batch_size):
-            chunk = starts[lo : lo + batch_size]
+        for lo in range(0, len(starts), INFER_BATCH_WINDOWS):
+            chunk = starts[lo : lo + INFER_BATCH_WINDOWS]
             row_starts, window_row, offsets, extent = shared_rows(
                 chunk, cfg.window, cfg.feature_stride())
             inputs = input_window(norm, row_starts,

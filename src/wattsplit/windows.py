@@ -88,7 +88,9 @@ def make_windows(mains: PowerSeries, appliance: PowerSeries,
 
     Both series are normalized with the model's statistics. A series
     shorter than s yields no windows. Mains and appliance must share the
-    grid (start, period, length).
+    grid (start, period, length). All inputs are gathered by one
+    ``input_window`` call, and the targets and labels by one index array;
+    each example holds views of those arrays.
     """
     if stride is None:
         stride = cfg.s
@@ -109,10 +111,7 @@ def make_windows(mains: PowerSeries, appliance: PowerSeries,
     app_norm = normalize(appliance, model.norm_mean, model.norm_std)
     labels = label_states(appliance, model)
     pad = normalize(np.zeros(1), model.norm_mean, model.norm_std)[0]
-    total = len(mains)
-    for start in range(0, total - cfg.s + 1, stride):
-        yield WindowedExample(
-            input=input_window(mains_norm, start, cfg, pad),
-            target_power=app_norm[start : start + cfg.s].copy(),
-            target_states=labels[start : start + cfg.s].copy(),
-        )
+    starts = np.arange(0, len(mains) - cfg.s + 1, stride)
+    inputs = input_window(mains_norm, starts, cfg, pad)
+    spans = starts[:, None] + np.arange(cfg.s)
+    yield from map(WindowedExample, inputs, app_norm[spans], labels[spans])

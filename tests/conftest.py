@@ -1,5 +1,10 @@
-"""Shared oracle helpers: finite differences and scalar-loop references."""
+"""Shared test helpers: finite differences, scalar-loop references and a
+scenario file writer."""
 from __future__ import annotations
+
+import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +94,11 @@ def mae_scalar(truth: np.ndarray, est: np.ndarray) -> float:
     for a, b in zip(truth, est):
         total += abs(a - b)
     return total / len(truth)
+
+
+def write_scenario(scenario, path) -> None:
+    """Write ``scenario`` as the JSON document ``synth.load_scenario`` reads."""
+    Path(path).write_text(json.dumps(dataclasses.asdict(scenario)))
 
 
 @pytest.fixture

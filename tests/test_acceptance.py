@@ -24,7 +24,7 @@ from wattsplit.trainer import TrainConfig, train
 from wattsplit.windows import WindowConfig, WindowedExample
 
 from conftest import (central_difference, combine_scalar, cross_entropy_scalar,
-                      mae_scalar, median_filter_scalar, relative_error)
+                      mae_scalar, median_filter_scalar, relative_error, write_scenario)
 
 
 @pytest.fixture
@@ -288,7 +288,7 @@ def test_a6_sparsity_enforcement(scorecard, demo_outcome):
 
 def test_a7_determinism(scorecard, tmp_path):
     from wattsplit.synth import (ApplianceSpec, SyntheticScenario,
-                                 activation_rate_for_duty, save_scenario)
+                                 activation_rate_for_duty)
 
     with scorecard("A7") as detail:
         scenario = SyntheticScenario(
@@ -296,7 +296,7 @@ def test_a7_determinism(scorecard, tmp_path):
                                       activation_rate_for_duty(0.3, 20)),),
             duration=400, period=6, noise_std=5.0, seed=3)
         scenario_path = tmp_path / "scenario.json"
-        save_scenario(scenario, scenario_path)
+        write_scenario(scenario, scenario_path)
         data = tmp_path / "data"
         assert cli_main(["synth", "--scenario", str(scenario_path),
                          "--out", str(data)]) == 0

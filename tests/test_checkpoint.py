@@ -195,6 +195,16 @@ class TestCorruption:
         with pytest.raises(ValueError, match=f"conv.*{layer}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        net = randomize(small_net())
+        net.parameters()[-1].tensor.values[1] = bad
+        path = tmp_path / "model.ddnn"
+        save_checkpoint(net, path)
+        name = net.parameters()[-1].name
+        with pytest.raises(ValueError, match=f"parameter '{name}'.*NaN or Inf"):
+            load_checkpoint(path)
+
     def test_garbage_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.ddnn"
         bad.write_bytes(b"not a checkpoint at all")

@@ -8,15 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_scenario
+from wattsplit import series
+from wattsplit.checkpoint import load_checkpoint, save_checkpoint
 from wattsplit.cli import TRAIN_DEFAULTS, main
 from wattsplit.metrics import METRIC_HEADER
+from wattsplit.model import NetConfig
+from wattsplit.windows import WindowConfig
 from wattsplit.series import load_csv
 from wattsplit.states import load_state_model
 from wattsplit.synth import (
     ApplianceSpec,
     SyntheticScenario,
     activation_rate_for_duty,
-    save_scenario,
 )
 
 TRAIN_FLAGS = ["--window-s", "4", "--window-w", "3", "--conv-stack", "3x3,4x3",
@@ -44,7 +48,7 @@ def workspace(tmp_path_factory):
     """One full synth -> states -> train -> disaggregate -> evaluate run."""
     root = tmp_path_factory.mktemp("cli")
     scenario_path = root / "scenario.json"
-    save_scenario(small_scenario(), scenario_path)
+    write_scenario(small_scenario(), scenario_path)
 
     data = root / "data"
     assert main(["synth", "--scenario", str(scenario_path), "--out", str(data)]) == 0
@@ -95,7 +99,7 @@ class TestSynth:
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         scenario_path = tmp_path / "sc.json"
-        save_scenario(small_scenario(), scenario_path)
+        write_scenario(small_scenario(), scenario_path)
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
@@ -106,7 +110,7 @@ class TestSynth:
 
     def test_seed_flag_overrides_scenario(self, tmp_path):
         scenario_path = tmp_path / "sc.json"
-        save_scenario(small_scenario(seed=3), scenario_path)
+        write_scenario(small_scenario(seed=3), scenario_path)
         base, other = tmp_path / "base", tmp_path / "other"
         assert main(["synth", "--scenario", str(scenario_path),
                      "--out", str(base)]) == 0
@@ -120,7 +124,7 @@ class TestSynth:
 
     def test_noiseless_mains_is_exact_sum(self, tmp_path):
         scenario_path = tmp_path / "sc.json"
-        save_scenario(small_scenario(noise_std=0.0, unknown_load=0.0), scenario_path)
+        write_scenario(small_scenario(noise_std=0.0, unknown_load=0.0), scenario_path)
         out = tmp_path / "out"
         assert main(["synth", "--scenario", str(scenario_path),
                      "--out", str(out)]) == 0
@@ -131,7 +135,7 @@ class TestSynth:
 
     def test_unknown_scenario_key_is_reported(self, tmp_path, capsys):
         scenario_path = tmp_path / "sc.json"
-        save_scenario(small_scenario(), scenario_path)
+        write_scenario(small_scenario(), scenario_path)
         doc = json.loads(scenario_path.read_text())
         doc["appliances"][0]["bogus"] = 1
         scenario_path.write_text(json.dumps(doc))
@@ -139,6 +143,31 @@ class TestSynth:
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown key 'bogus'" in err
+
+
+    def test_wrongly_typed_scenario_value_is_reported(self, tmp_path, capsys):
+        scenario_path = tmp_path / "sc.json"
+        write_scenario(small_scenario(), scenario_path)
+        doc = json.loads(scenario_path.read_text())
+        scenario_path.write_text(json.dumps(dict(doc, duration=[1])))
+        assert main(["synth", "--scenario", str(scenario_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "key 'duration' must hold an integer" in err
+
+    def test_duration_beyond_memory_is_reported(self, tmp_path, capsys, monkeypatch):
+        # a few MiB of "physical memory", so that a failed check costs only MiBs
+        monkeypatch.setattr(series, "physical_memory", lambda: 4 << 20)
+        scenario_path = tmp_path / "sc.json"
+        write_scenario(small_scenario(), scenario_path)
+        doc = json.loads(scenario_path.read_text())
+        scenario_path.write_text(json.dumps(dict(doc, duration=200_000)))  # 5 arrays
+        out = tmp_path / "out"
+        assert main(["synth", "--scenario", str(scenario_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "duration 200000" in err
+        assert f"({5 * 8 * 200_000} bytes)" in err
+        assert not out.exists()
 
 
 class TestStates:
@@ -294,6 +323,28 @@ class TestTrain:
         assert not (out / "checkpoint.ddnn").exists()
 
 
+    def test_net_beyond_memory_is_reported_before_reading_inputs(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        # a few MiB of "physical memory", so that a failed check costs only MiBs
+        monkeypatch.setattr(series, "physical_memory", lambda: 4 << 20)
+        net = dict(window=WindowConfig(4, 8), state_count=2, conv_stack=[[4, 5]])
+        hidden = 1
+        while 8 * NetConfig(**net, hidden=hidden).parameter_count() <= 4 << 20:
+            hidden *= 2  # the first doubling past the bound: at most 8 MiB
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({"hidden": hidden}))
+        missing = str(tmp_path / "missing.csv")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--mains", missing,
+                     "--appliance", missing,
+                     "--state-model", str(workspace / "heater_model.json"),
+                     "--conv-stack", "4x5", "--window-s", "4", "--window-w", "8",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"hidden {hidden} has" in err
+        assert "bytes), more than the machine's 4194304 bytes" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("stack,bad", [("16x", "16x"), ("16", "16"),
                                            ("16x9,0x7", "0x7"), ("16x9,16x7@", "16x7@")])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -341,6 +392,30 @@ class TestDisaggregate:
                      "--state-model", str(bad), "--out", str(tmp_path / "est")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "states.json: expected a JSON object" in err
+
+    def test_wrongly_typed_state_model_value_is_reported(self, workspace, tmp_path,
+                                                         capsys):
+        doc = json.loads((workspace / "heater_model.json").read_text())
+        bad = tmp_path / "states.json"
+        bad.write_text(json.dumps(dict(doc, norm_mean=[1])))
+        assert main(["disaggregate",
+                     "--checkpoint", str(workspace / "run" / "checkpoint.ddnn"),
+                     "--mains", str(workspace / "data" / "mains.csv"),
+                     "--state-model", str(bad), "--out", str(tmp_path / "est")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "key 'norm_mean' must hold a number" in err
+
+    def test_non_finite_checkpoint_is_reported(self, workspace, tmp_path, capsys):
+        net = load_checkpoint(workspace / "run" / "checkpoint.ddnn")
+        net.parameters()[0].tensor.values[0, 0, 0] = np.nan
+        bad = tmp_path / "bad.ddnn"
+        save_checkpoint(net, bad)
+        assert main(["disaggregate", "--checkpoint", str(bad),
+                     "--mains", str(workspace / "data" / "mains.csv"),
+                     "--state-model", str(workspace / "heater_model.json"),
+                     "--out", str(tmp_path / "est")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parameter 'power/conv0/kernels'")
 
     def test_unknown_variant_is_a_usage_error(self, workspace):
         with pytest.raises(SystemExit) as exc:
@@ -419,7 +494,7 @@ class TestReadme:
         assert [c[:2] for c in commands] == [
             ["wattsplit", "synth"], ["wattsplit", "states"], ["wattsplit", "train"],
             ["wattsplit", "disaggregate"], ["wattsplit", "evaluate"]]
-        save_scenario(small_scenario(), tmp_path / "scenario.json")
+        write_scenario(small_scenario(), tmp_path / "scenario.json")
         monkeypatch.chdir(tmp_path)
         for argv in commands:
             argv = argv[1:]

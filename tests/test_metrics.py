@@ -143,14 +143,15 @@ class TestReport:
     def test_rows_match_evaluate_pair(self):
         truth = series([10.0, 20.0, 30.0])
         est = series([12.0, 18.0, 33.0])
-        rep = report([result_for("kettle", est)], [truth])
+        rep = report([result_for("kettle", est)], [truth], [result_for("kettle", est)])
         assert len(rep.rows) == 1
         assert rep.rows[0] == evaluate_pair("kettle", truth, est)
 
     def test_metric_csv_format(self, tmp_path):
         truth = series([10.0, 20.0, 30.0])
         est = series([12.0, 18.0, 33.0])
-        rep = report([result_for("kettle", est)], [truth], out_dir=tmp_path)
+        rep = report([result_for("kettle", est)], [truth], [result_for("kettle", est)],
+                     out_dir=tmp_path)
         lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
         assert lines[0] == METRIC_HEADER == "appliance,MAE_W,SAE,T,r,r_est"
         name, mae_v, sae_v, t, r, r_est = lines[1].split(",")
@@ -188,29 +189,20 @@ class TestReport:
             f"{est.values[j]:.6f}\n" for j in range(len(truth)))
         assert (tmp_path / "plot_kettle.csv").read_bytes() == want.encode("utf-8")
 
-    def test_plain_column_falls_back_to_variant(self, tmp_path):
-        truth = series([10.0, 20.0])
-        est = series([12.0, 18.0])
-        report([result_for("fridge", est)], [truth], out_dir=tmp_path)
-        lines = (tmp_path / "plot_fridge.csv").read_text().strip().splitlines()
-        _, _, plain_col, variant_col = lines[1].split(",")
-        assert plain_col == variant_col
-
     def test_multiple_appliances(self, tmp_path):
         truths = [series([10.0, 20.0]), series([5.0, 5.0])]
         ests = [series([10.0, 22.0]), series([4.0, 6.0])]
-        rep = report([result_for("kettle", ests[0]), result_for("fridge", ests[1])],
-                     truths, out_dir=tmp_path)
+        results = [result_for("kettle", ests[0]), result_for("fridge", ests[1])]
+        rep = report(results, truths, results, out_dir=tmp_path)
         assert [r.appliance for r in rep.rows] == ["kettle", "fridge"]
         assert (tmp_path / "plot_kettle.csv").exists()
         assert (tmp_path / "plot_fridge.csv").exists()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="results vs"):
-            report([result_for("a", series([1.0]))], [])
+            report([result_for("a", series([1.0]))], [], [result_for("a", series([1.0]))])
         with pytest.raises(ValueError, match="plain_results"):
-            report([result_for("a", series([1.0]))], [series([1.0])],
-                   plain_results=[])
+            report([result_for("a", series([1.0]))], [series([1.0])], [])
 
     def test_str_is_printable_table(self):
         rep = MetricReport([ApplianceMetrics("kettle", 2.3333, 0.05, 3, 360.0, 378.0)])

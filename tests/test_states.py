@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 
 from wattsplit import presets
 from wattsplit.series import PowerSeries
-from wattsplit.states import (ApplianceStateModel, cluster_states, label_states,
-                              load_state_model, save_state_model)
+from wattsplit.states import (ApplianceStateModel, check_value, cluster_states,
+                              label_states, load_state_model, save_state_model)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "appliance_params.json"
+
+
+def series(values) -> PowerSeries:
+    return PowerSeries(0, 6, np.asarray(values, dtype=np.float64))
 
 
 def model_with(centroids, mean=200.0, std=400.0):
@@ -93,32 +97,31 @@ class TestClusterStates:
 class TestLabelStates:
     def test_nearest_centroid(self):
         model = model_with([0.0, 100.0, 500.0])
-        labels = label_states(np.array([290.0]), model)
+        labels = label_states(series([290.0]), model)
         np.testing.assert_array_equal(labels, [[0.0, 1.0, 0.0]])
 
     def test_tie_breaks_to_lower_index(self):
         # 300 W is equidistant from 100 and 500: lower index wins
         model = model_with([0.0, 100.0, 500.0])
-        labels = label_states(np.array([300.0]), model)
+        labels = label_states(series([300.0]), model)
         assert labels[0].argmax() == 1
 
     def test_threshold_forces_off(self):
         model = model_with([0.0, 20.0])
-        labels = label_states(np.array([14.0, 15.0, 15.1]), model)
+        labels = label_states(series([14.0, 15.0, 15.1]), model)
         np.testing.assert_array_equal(labels.argmax(axis=1), [0, 0, 1])
 
     @given(st.lists(st.floats(0, 1000), min_size=1, max_size=50))
     def test_rows_always_one_hot(self, vals):
         model = model_with([0.0, 100.0, 500.0])
-        labels = label_states(np.asarray(vals), model)
+        labels = label_states(series(vals), model)
         assert labels.shape == (len(vals), 3)
         assert np.all((labels == 0) | (labels == 1))
         np.testing.assert_array_equal(labels.sum(axis=1), np.ones(len(vals)))
 
     def test_round_trip_from_exact_centroids(self):
         model = model_with([0.0, 100.0, 500.0])
-        values = np.array([0.0, 100.0, 500.0, 100.0])
-        labels = label_states(values, model)
+        labels = label_states(series([0.0, 100.0, 500.0, 100.0]), model)
         np.testing.assert_array_equal(labels.argmax(axis=1), [0, 1, 2, 1])
 
 
@@ -154,6 +157,57 @@ class TestStateModelIO:
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match="model.json: " + message):
             load_state_model(path)
+
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("name", 5, "a string"),
+        ("state_count", 2.0, "an integer"),
+        ("centroids", [0, "150"], "a list of numbers"),
+        ("norm_mean", [1], "a number"),
+        ("norm_std", True, "a number"),
+        ("on_threshold", None, "a number"),
+    ])
+    def test_wrongly_typed_value_names_file_and_key(self, tmp_path, key, value, kind):
+        path = tmp_path / "model.json"
+        save_state_model(model_with([0.0, 100.0]), path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: value})))
+        with pytest.raises(ValueError, match=f"model.json: key '{key}' must hold {kind}, "):
+            load_state_model(path)
+
+    def test_integers_are_accepted_as_numbers(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"name": "x", "state_count": 2, "centroids": [0, 100],
+                                    "norm_mean": 40, "norm_std": 50, "on_threshold": 15}))
+        model = load_state_model(path)
+        assert (model.norm_mean, model.norm_std, model.on_threshold) == (40.0, 50.0, 15.0)
+        assert type(model.norm_mean) is float
+        np.testing.assert_array_equal(model.centroids, [0.0, 100.0])
+
+
+class TestCheckValue:
+    @pytest.mark.parametrize("kind,fitting,misfitting", [
+        (int, [0, -3], [1.0, True, "1", None, [1]]),
+        (float, [0.5, 2], [True, "0.5", None, [1.0]]),
+        (str, ["x", ""], [1, None, ["x"]]),
+        (bool, [True, False], [0, 1, "true", None]),
+        (list, [[], [1, "x"]], [{}, "[]", None]),
+        ([float], [[], [1, 2.5]], [[True], ["1"], [[1.0]], 1.0]),
+        ((None, int), [None, 3], [3.0, "3", False]),
+        ((str, [[int]]), ["16x9", [], [[16, 9], [4, 3, 2]]],
+         [16, [16, 9], [[1.5]], [[True]], None]),
+    ])
+    def test_each_kind(self, kind, fitting, misfitting):
+        for value in fitting:
+            check_value("doc.json", "key", value, kind)
+        for value in misfitting:
+            with pytest.raises(ValueError, match="^doc.json: key 'key' must hold "):
+                check_value("doc.json", "key", value, kind)
+
+    def test_message_names_the_kind_and_the_value(self):
+        with pytest.raises(ValueError) as exc:
+            check_value("train.json", "conv_stack", [16, 9], (str, [[int]]))
+        assert str(exc.value) == ("train.json: key 'conv_stack' must hold a string or "
+                                  "a list of lists of integers, got [16, 9]")
 
 
 class TestBenchmarkPresets:

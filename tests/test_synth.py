@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import write_scenario
+from wattsplit import series
 from wattsplit.synth import (ApplianceSpec, SyntheticScenario,
                              activation_rate_for_duty, demo_scenario, generate,
-                             load_scenario, save_scenario)
+                             load_scenario)
 
 
 def two_state(name="a", rating=150.0, duty=0.2, mean_on=20.0):
@@ -24,6 +26,17 @@ class TestSpecs:
     def test_rate_bounds(self):
         with pytest.raises(ValueError, match="activation_rate"):
             ApplianceSpec("x", [0.0, 100.0], 5.0, 0.0)
+
+    def test_duration_beyond_memory_refused(self, monkeypatch):
+        # 4 MiB of "physical memory": one appliance's trace and state indices
+        # plus the mains are 3 arrays of 8-byte values
+        monkeypatch.setattr(series, "physical_memory", lambda: 4 << 20)
+        fits = (4 << 20) // 24
+        SyntheticScenario([two_state()], duration=fits)
+        for duration in (fits + 1, 100_000_000_000):
+            with pytest.raises(ValueError, match=rf"duration {duration} implies 3 arrays"
+                                                 rf".*\({24 * duration} bytes\)"):
+                SyntheticScenario([two_state()], duration=duration)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -100,7 +113,7 @@ class TestScenarioIO:
     def test_round_trip(self, tmp_path):
         sc = demo_scenario(duration=1234)
         path = tmp_path / "scenario.json"
-        save_scenario(sc, path)
+        write_scenario(sc, path)
         back = load_scenario(path)
         assert back == sc
 
@@ -119,7 +132,40 @@ class TestScenarioIO:
     ])
     def test_malformed_document_names_file_and_key(self, tmp_path, edit, message):
         path = tmp_path / "sc.json"
-        save_scenario(demo_scenario(duration=1234), path)
+        write_scenario(demo_scenario(duration=1234), path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match=message):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("duration", [1], "an integer"),
+        ("period", 6.0, "an integer"),
+        ("unknown_load", "0", "a number"),
+        ("noise_std", None, "a number"),
+        ("start_time", 1.5, "an integer"),
+        ("seed", True, "an integer"),
+        ("appliances", {}, "a list"),
+    ])
+    def test_wrongly_typed_value_names_file_and_key(self, tmp_path, key, value, kind):
+        path = tmp_path / "sc.json"
+        write_scenario(demo_scenario(duration=1234), path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: value})))
+        with pytest.raises(ValueError, match=f"sc.json: key '{key}' must hold {kind}, "):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("name", 1, "a string"),
+        ("centroids", [0, None], "a list of numbers"),
+        ("mean_on_duration", "50", "a number"),
+        ("activation_rate", [0.1], "a number"),
+    ])
+    def test_wrongly_typed_appliance_value_names_entry_and_key(self, tmp_path, key,
+                                                               value, kind):
+        path = tmp_path / "sc.json"
+        write_scenario(demo_scenario(duration=1234), path)
+        doc = json.loads(path.read_text())
+        doc["appliances"][1][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"sc.json: appliances\[1\]: key '{key}' "
+                                             f"must hold {kind}, "):
             load_scenario(path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import combine_scalar, median_filter_scalar
+from wattsplit import trainer
 from wattsplit.model import ConvLayerSpec, DisaggNet, NetConfig, total_loss
 from wattsplit.postprocess import FilterConfig, reconcile_overlaps
 from wattsplit.series import PowerSeries, denormalize, normalize
@@ -317,10 +318,19 @@ class TestDisaggregate:
                            "plain", stride=1)
         assert len(res.estimate) == 96
 
-    def test_small_batches_match_large(self):
+    def test_small_batches_match_large(self, monkeypatch):
         net, mains, sm = tiny_net(), make_mains(), heater_model()
-        a = disaggregate(net, mains, sm, "plain", batch_size=2)
-        b = disaggregate(net, mains, sm, "plain", batch_size=256)
+        batches = []
+        forward = net.forward_tensors
+        monkeypatch.setattr(net, "forward_tensors",
+                            lambda inputs, rows, offsets: batches.append(len(rows))
+                            or forward(inputs, rows, offsets))
+        monkeypatch.setattr(trainer, "INFER_BATCH_WINDOWS", 2)
+        a = disaggregate(net, mains, sm, "plain")
+        assert batches == [2] * 12  # 96 samples, 24 windows
+        monkeypatch.setattr(trainer, "INFER_BATCH_WINDOWS", 256)
+        b = disaggregate(net, mains, sm, "plain")
+        assert batches[12:] == [24]
         assert a.estimate.values.tobytes() == b.estimate.values.tobytes()
         assert a.states.tobytes() == b.states.tobytes()
 
@@ -411,11 +421,11 @@ class TestDisaggregateMatchesPerWindowOracle:
     CASES = [(1, 4), (3, 4), (None, 5)]
 
     @staticmethod
-    def check(net, variant, stride, batch_size):
+    def check(monkeypatch, net, variant, stride, batch_size):
         mains, sm = make_mains(total=45, seed=8), heater_model()
+        monkeypatch.setattr(trainer, "INFER_BATCH_WINDOWS", batch_size)
         res = disaggregate(net, mains, sm, variant, stride=stride,
-                           filter_cfg=FilterConfig(median_window=3),
-                           batch_size=batch_size)
+                           filter_cfg=FilterConfig(median_window=3))
         estimate, states, windows = per_window_oracle(
             net, mains, sm, variant, stride or S, median_window=3)
         assert windows % batch_size != 0
@@ -427,16 +437,16 @@ class TestDisaggregateMatchesPerWindowOracle:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("stride,batch_size", CASES)
-    def test_batched_pipeline_matches(self, variant, stride, batch_size):
-        self.check(tiny_net(seed=3), variant, stride, batch_size)
+    def test_batched_pipeline_matches(self, monkeypatch, variant, stride, batch_size):
+        self.check(monkeypatch, tiny_net(seed=3), variant, stride, batch_size)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("stride,batch_size", CASES)
-    def test_strided_conv_stack_matches(self, variant, stride, batch_size):
+    def test_strided_conv_stack_matches(self, monkeypatch, variant, stride, batch_size):
         # total conv stride 2: at strides 1 and 3 a batch holds windows of
         # both parities, which read separate rows
-        self.check(tiny_net(seed=3, conv_stack=STRIDED_STACK), variant, stride,
-                   batch_size)
+        self.check(monkeypatch, tiny_net(seed=3, conv_stack=STRIDED_STACK), variant,
+                   stride, batch_size)
 
     def test_demo_size_is_bitwise_per_window_predict(self):
         # the canned demo's net and inference stride: sharing each batch's
@@ -449,8 +459,8 @@ class TestDisaggregateMatchesPerWindowOracle:
         pad = normalize(np.zeros(1), sm.norm_mean, sm.norm_std)[0]
         starts = np.append(np.arange(0, len(mains) - 32 + 1, 16), len(mains) - 32)
         outputs = []
-        for lo in range(0, len(starts), 256):
-            chunk = starts[lo : lo + 256]
+        for lo in range(0, len(starts), trainer.INFER_BATCH_WINDOWS):
+            chunk = starts[lo : lo + trainer.INFER_BATCH_WINDOWS]
             out = net.predict(input_window(norm, chunk, net.config.window, pad))
             outputs += zip(chunk, np.concatenate([out.combined[..., None],
                                                   out.state_probs], axis=-1))

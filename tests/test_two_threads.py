@@ -35,8 +35,7 @@ STATE_MODEL = ApplianceStateModel("heater", np.array([0.0, 150.0]), 40.0, 50.0)
 
 @pytest.fixture
 def two_threads(monkeypatch):
-    monkeypatch.setattr(ad, "_two_threads", lambda: True)
-    assert ad.subnetworks_on_two_threads()
+    monkeypatch.setattr(ad, "subnetworks_on_two_threads", lambda: True)
 
 
 def demo_net(seed=4) -> DisaggNet:
@@ -69,9 +68,9 @@ TRAIN_CASES = [dict(variant="plain"), dict(variant="hard"),
 
 @pytest.mark.parametrize("cfg", TRAIN_CASES, ids=["plain", "hard", "lambda-power"])
 def test_training_on_two_threads_writes_the_serial_checkpoint(tmp_path, monkeypatch, cfg):
-    monkeypatch.setattr(ad, "_two_threads", lambda: False)
+    monkeypatch.setattr(ad, "subnetworks_on_two_threads", lambda: False)
     serial = trained_checkpoint(tmp_path, "serial", **cfg)
-    monkeypatch.setattr(ad, "_two_threads", lambda: True)
+    monkeypatch.setattr(ad, "subnetworks_on_two_threads", lambda: True)
     assert trained_checkpoint(tmp_path, "concurrent", **cfg) == serial
 
 
@@ -81,7 +80,7 @@ def test_disaggregation_on_two_threads_is_bitwise_serial(monkeypatch, variant):
     mains = PowerSeries(0, 6, np.random.default_rng(9).uniform(0.0, 200.0, size=3011))
     results = []
     for gate in (False, True):
-        monkeypatch.setattr(ad, "_two_threads", lambda gate=gate: gate)
+        monkeypatch.setattr(ad, "subnetworks_on_two_threads", lambda gate=gate: gate)
         results.append(disaggregate(net, mains, STATE_MODEL, variant, stride=16))
     serial, concurrent = results
     assert concurrent.estimate.values.tobytes() == serial.estimate.values.tobytes()
@@ -90,7 +89,7 @@ def test_disaggregation_on_two_threads_is_bitwise_serial(monkeypatch, variant):
 
 def test_gate_decides_whether_the_worker_runs(monkeypatch):
     for gate in (False, True):
-        monkeypatch.setattr(ad, "_two_threads", lambda gate=gate: gate)
+        monkeypatch.setattr(ad, "subnetworks_on_two_threads", lambda gate=gate: gate)
         first, second = ad.run_pair(threading.get_ident, threading.get_ident)
         assert (first != second) == gate
         assert second == threading.get_ident()

@@ -1,9 +1,11 @@
 """Windowing: alignment, padding, normalization of targets."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wattsplit.series import PowerSeries, denormalize
-from wattsplit.states import ApplianceStateModel
+from wattsplit.series import PowerSeries, denormalize, normalize
+from wattsplit.states import ApplianceStateModel, label_states
 from wattsplit.windows import WindowConfig, input_window, make_windows, shared_rows
 
 
@@ -151,6 +153,23 @@ class TestMakeWindows:
         app = PowerSeries(0, 6, np.zeros(4))
         with pytest.raises(ValueError, match="missing"):
             list(make_windows(mains, app, simple_model(), WindowConfig(2, 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(total=st.integers(0, 60), s=st.integers(1, 12), w=st.integers(0, 8),
+           stride=st.integers(1, 15), seed=st.integers(0, 2**16))
+    def test_examples_are_the_per_window_gathers(self, total, s, w, stride, seed):
+        mains, app = make_pair(total, np.random.default_rng(seed))
+        model, cfg = simple_model(), WindowConfig(s, w)
+        examples = list(make_windows(mains, app, model, cfg, stride=stride))
+        assert len(examples) == ((total - s) // stride + 1 if total >= s else 0)
+        mains_norm = normalize(mains, model.norm_mean, model.norm_std)
+        app_norm = normalize(app, model.norm_mean, model.norm_std)
+        labels = label_states(app, model)
+        pad = normalize(np.zeros(1), model.norm_mean, model.norm_std)[0]
+        for ex, start in zip(examples, range(0, total, stride)):
+            assert ex.input.tobytes() == input_window(mains_norm, start, cfg, pad).tobytes()
+            assert ex.target_power.tobytes() == app_norm[start : start + s].tobytes()
+            assert ex.target_states.tobytes() == labels[start : start + s].tobytes()
 
     def test_stride_spacing(self, rng):
         mains, app = make_pair(40, rng)
