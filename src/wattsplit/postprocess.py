@@ -1,9 +1,11 @@
 """State-sequence post-processing: hard gating, gumbel noise, median
 filtering, and overlap merging.
 
-State sequences are plain arrays with one row per timestep and one column
-per state: soft rows sum to 1, hard rows are exactly one-hot. Any leading
-batch axes come first, so a batch of windows is ``[B, s, l]``.
+A soft state sequence has one row per timestep and one column per state,
+each row summing to 1. The hard gate turns it into a sequence of integer
+state indices, one per timestep, which the median filter and
+``combine_hard`` take. Any leading batch axes come first, so a batch of
+windows is ``[B, s, l]`` soft or ``[B, s]`` hard.
 """
 from __future__ import annotations
 
@@ -32,27 +34,36 @@ class FilterConfig:
             )
 
 
-def _one_hot_sequences(states, op: str) -> np.ndarray:
-    """State sequences ``[..., T, l]`` whose rows must be exactly one-hot."""
-    rows = np.asarray(states, dtype=np.float64)
-    if rows.ndim < 2:
-        raise ValueError(f"{op}: expected rows of shape [..., T, l], got {rows.shape}")
-    binary = (rows == 0.0) | (rows == 1.0)
-    if not (np.all(binary) and np.all(rows.sum(axis=-1) == 1.0)):
-        raise ValueError(f"{op}: rows must be exactly one-hot")
-    return rows
-
-
 def hard_gate(probabilities) -> np.ndarray:
-    """Replace each probability row (last axis, any leading shape) with the
-    one-hot of its argmax (ties resolve to the lowest index). Idempotent."""
+    """The state index of each probability row's argmax: rows ``[..., l]``
+    (last axis, any leading shape) give indices ``[...]``. Ties resolve to
+    the lowest index."""
     rows = np.asarray(probabilities, dtype=np.float64)
     if rows.ndim == 0 or rows.size == 0:
         raise ValueError("hard_gate: empty input")
-    sums = rows.sum(axis=-1)
+    # a pass per state column: numpy reduces a short last axis slowly
+    idx = np.zeros(rows.shape[:-1], dtype=np.intp)
+    best, sums = rows[..., 0], rows[..., 0].copy()
+    for j in range(1, rows.shape[-1]):
+        idx[rows[..., j] > best] = j
+        best = np.maximum(best, rows[..., j])
+        sums += rows[..., j]
     if not np.all(np.abs(sums - 1.0) <= 1e-6):
         raise ValueError("hard_gate: rows must sum to 1 within 1e-6")
-    return np.eye(rows.shape[-1])[np.argmax(rows, axis=-1)]
+    return idx
+
+
+def _state_indices(states, op: str) -> np.ndarray:
+    """State index sequences ``[..., T]``: non-negative integers."""
+    idx = np.asarray(states)
+    if idx.ndim < 1:
+        raise ValueError(f"{op}: expected state indices of shape [..., T], got {idx.shape}")
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"{op}: expected integer state indices (the argmax of one-hot "
+                         f"rows), got {idx.dtype} values")
+    if idx.size and idx.min() < 0:
+        raise ValueError(f"{op}: state indices must be >= 0, got {idx.min()}")
+    return idx
 
 
 def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
@@ -65,69 +76,89 @@ def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
 def median_filter(states, cfg: FilterConfig = FilterConfig()) -> np.ndarray:
     """Majority state over a centered window, per timestep.
 
-    ``states`` holds one-hot rows of shape ``[..., T, l]``; each sequence
-    along the time axis (-2) is filtered on its own. Equivalent to taking
-    the per-state binary median over the window and renormalizing to
-    one-hot: at most one state can hold a strict majority of an odd
-    window, and when one does it wins the vote. When no state has a
-    majority the most frequent state in the window wins (lowest index on
+    ``states`` holds state indices of shape ``[..., T]``; each sequence
+    along the last axis is filtered on its own. Equivalent to taking the
+    per-state binary median of the one-hot rows over the window and
+    renormalizing to one-hot: at most one state can hold a strict majority
+    of an odd window, and when one does it wins the vote. When no state has
+    a majority the most frequent state in the window wins (lowest index on
     ties), so the output state always occurs inside the window. Windows
-    shrink symmetrically at the boundaries (length stays odd).
+    shrink symmetrically at the boundaries (length stays odd). Each state's
+    votes are differences of its integer cumulative count.
     """
-    rows = _one_hot_sequences(states, "median_filter")
-    total, l = rows.shape[-2:]
+    idx = _state_indices(states, "median_filter")
+    total = idx.shape[-1]
     half = cfg.median_window // 2
-    csum = np.zeros(rows.shape[:-2] + (total + 1, l))
-    np.cumsum(rows, axis=-2, out=csum[..., 1:, :])
     t = np.arange(total)
     ht = np.minimum(half, np.minimum(t, total - 1 - t))
-    counts = csum[..., t + ht + 1, :] - csum[..., t - ht, :]  # per-state occurrences
-    return np.eye(l)[np.argmax(counts, axis=-1)]
+    csum = np.zeros(idx.shape[:-1] + (total + 1,), dtype=np.int32)
+    out = np.zeros(idx.shape, dtype=np.intp)
+    for j in range(int(idx.max(initial=0)) + 1):  # a pass per state, as in hard_gate
+        np.cumsum(idx == j, axis=-1, dtype=np.int32, out=csum[..., 1:])
+        votes = csum[..., t + ht + 1] - csum[..., t - ht]  # occurrences of state j
+        if j == 0:
+            best = votes
+        else:
+            out[votes > best] = j
+            np.maximum(best, votes, out=best)
+    return out
 
 
 def combine_hard(ratings, states) -> np.ndarray:
-    """out[..., t] = ratings[..., state at t].
+    """out[..., t] = ratings[..., states[..., t]].
 
-    ``states`` holds one-hot rows ``[..., s, l]`` and ``ratings`` one
-    rating per state for each sequence, ``[..., l]``.
+    ``states`` holds state indices ``[..., s]`` and ``ratings`` one rating
+    per state for each sequence, ``[..., l]``.
     """
     r = np.asarray(ratings, dtype=np.float64)
-    rows = _one_hot_sequences(states, "combine_hard")
-    if r.shape != rows.shape[:-2] + rows.shape[-1:]:
+    idx = _state_indices(states, "combine_hard")
+    if r.shape[:-1] != idx.shape[:-1] or idx.max(initial=0) >= r.shape[-1]:
         raise ValueError(
-            f"combine_hard: ratings shape {r.shape} does not match states "
-            f"shape {rows.shape}"
+            f"combine_hard: ratings shape {r.shape} does not fit state indices "
+            f"of shape {idx.shape} (largest {idx.max(initial=0)})"
         )
-    return (rows @ r[..., None])[..., 0]
+    return np.take_along_axis(r, idx, axis=-1)
 
 
-def reconcile_overlaps(window_outputs, total_length: int) -> np.ndarray:
-    """Merge per-window output slices onto one series by per-position mean.
+def reconcile_overlaps(sums, starts, values) -> None:
+    """Add one batch of windows onto running per-position sums, in place.
 
-    ``window_outputs`` yields (start_index, values) pairs, summed in the
-    order given. ``values`` has shape ``[s, ...]``: one entry, or one row
-    of columns, per position; every window shares the trailing shape.
-    Every position in [0, total_length) must be covered by at least one
-    window. Returns ``[total_length, ...]``.
+    ``values[k]`` is the output of the window that starts at ``starts[k]``,
+    ``[B, s, ...]``: one entry, or one row of columns, per position.
+    Windows are added in the order given, and ``np.add.at`` applies a
+    position's repeated entries one after another, so every position's sum
+    is bitwise the one that a loop over the windows builds. A float
+    ``sums`` is ``[T, ...]`` with the values' trailing shape. An integer
+    ``sums`` ``[T, l]`` counts votes: ``values`` are then ``[B, s]`` state
+    indices, and each adds 1 at its position and state. ``sums`` must be
+    C-contiguous.
     """
-    if total_length < 1:
-        raise ValueError(f"total_length must be >= 1, got {total_length}")
-    acc = None
-    cover = np.zeros(total_length)
-    for start, vals in window_outputs:
-        vals = np.asarray(vals, dtype=np.float64)
-        if acc is None:
-            acc = np.zeros((total_length,) + vals.shape[1:])
-        if vals.ndim == 0 or vals.shape[1:] != acc.shape[1:]:
-            raise ValueError(f"window at {start}: values shape {vals.shape}, "
-                             f"expected (s,) + {acc.shape[1:]}")
-        if start < 0 or start + len(vals) > total_length:
-            raise ValueError(
-                f"window [{start}, {start + len(vals)}) exceeds length {total_length}"
-            )
-        acc[start : start + len(vals)] += vals
-        cover[start : start + len(vals)] += 1.0
-    if np.any(cover == 0):
-        idx = int(np.argmax(cover == 0))
-        raise ValueError(f"position {idx} is not covered by any window")
-    return acc / cover.reshape((-1,) + (1,) * (acc.ndim - 1))
+    values, starts = np.asarray(values), np.asarray(starts)
+    if values.ndim < 2 or values.shape[0] != len(starts):
+        raise ValueError(f"values shape {values.shape}: expected one [s, ...] window "
+                         f"for each of {len(starts)} starts")
+    if not sums.flags.c_contiguous:
+        raise ValueError("reconcile_overlaps: sums must be C-contiguous")
+    s, total = values.shape[1], len(sums)
+    votes = sums.dtype.kind in "iu"
+    if values.shape[2:] != (() if votes else sums.shape[1:]):
+        raise ValueError(f"window at {starts[0]}: values shape {values.shape[1:]}, "
+                         f"expected (s,) + {() if votes else sums.shape[1:]}")
+    bad = (starts < 0) | (starts + s > total)
+    if np.any(bad):
+        start = int(starts[np.argmax(bad)])
+        raise ValueError(f"window [{start}, {start + s}) exceeds length {total}")
+    pos = (starts[:, None] + np.arange(s)).ravel()
+    flat = sums.reshape(total, -1)
+    if votes:
+        _state_indices(values, "reconcile_overlaps")
+        if values.max() >= flat.shape[1]:
+            raise ValueError(f"reconcile_overlaps: state index {values.max()} beyond "
+                             f"the {flat.shape[1]} vote columns")
+        # a scalar of the sums' own dtype keeps np.add.at on its fast path
+        np.add.at(flat.reshape(-1), pos * flat.shape[1] + values.ravel(),
+                  sums.dtype.type(1))
+    else:
+        columns = values.reshape(len(pos), -1)
+        for j in range(flat.shape[1]):
+            np.add.at(flat[:, j], pos, columns[:, j])

@@ -7,6 +7,7 @@ above the ON threshold. Normalization statistics travel with the model.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,7 +163,9 @@ def _fits(value, kind) -> bool:
         return type(value) is list and all(_fits(v, kind[0]) for v in value)
     if kind is None:
         return value is None
-    return type(value) is kind or kind is float and type(value) is int
+    if kind is float:  # json reads NaN, Infinity and integers beyond any float
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is kind
 
 
 def _kind_name(kind, plural: bool = False) -> str:
@@ -180,7 +183,9 @@ def check_value(where: str, key: str, value, kind) -> None:
     A kind is ``int``, ``float``, ``str``, ``bool`` or ``list`` (its items
     unchecked), ``None`` for null, ``[k]`` for a list whose items each fit
     ``k``, or a tuple of kinds of which one must fit. A bool is not a
-    number, and an int is accepted as a float.
+    number, an int is accepted as a float, and a float must be finite
+    (JSON's ``NaN`` and ``Infinity``, and integers beyond the largest
+    float, are refused).
     """
     if not _fits(value, kind):
         raise ValueError(f"{where}: key {key!r} must hold {_kind_name(kind)}, "

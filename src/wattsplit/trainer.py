@@ -196,9 +196,10 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     Windows start every ``stride`` samples (default and maximum ``s``, so
     no sample falls between windows), plus a tail window when the stride
     misses the last valid start. Each batch of ``INFER_BATCH_WINDOWS``
-    windows runs as one pipeline over ``[B, s, l]`` state rows: gather -> forward ->
-    argmax gate (hard variants) -> median filter along each window's own
-    s rows (median variants) -> combine.
+    windows runs as one pipeline: gather -> forward -> (hard variants)
+    argmax gate to ``[B, s]`` integer state indices -> (median variants)
+    median filter along each window's own s indices -> combine, which
+    takes each window's rating of the state at each position.
 
     Overlapping windows share one conv pass. The gather reads the mains
     span the batch covers, ``[first start - w, last start + s + w)``, as
@@ -213,15 +214,19 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     layer with 49 outputs per window), OpenBLAS can round it differently
     from the row's, and the outputs differ in the last bits.
 
-    One merge sums the power column and the state rows of every window,
-    batch by batch in window order, into ``[T, 1 + l]`` and takes the
-    per-position mean; the power is then denormalized and clamped at 0 W.
+    Each batch is then merged in one step (``reconcile_overlaps``): the
+    power values are added at their positions in window order, so every
+    position's sum is bitwise the one a loop over the windows would make.
+    ``plain`` sums its soft state rows the same way; the other variants
+    count one vote per window for the state at each position. The power's
+    per-position mean is denormalized and clamped at 0 W.
 
-    The returned state sequence is that position mean of the per-window
-    rows; hard variants re-harden the merged rows by argmax, and median
-    variants then run the median filter over the merged sequence, since
-    the filter is defined on an appliance's state sequence as a whole and
-    window-local filtering cannot see across window boundaries.
+    The returned state sequence is ``[T, l]``: for ``plain`` the position
+    mean of the soft rows; otherwise the one-hot rows of each position's
+    most voted state (lowest index on ties), which the median variants then
+    median-filter over the merged sequence, since the filter is defined on
+    an appliance's state sequence as a whole and window-local filtering
+    cannot see across window boundaries.
 
     Model parameters are never modified. The output bits depend on the
     BLAS thread count, and would depend on the batch size too (OpenBLAS
@@ -234,7 +239,7 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     if mains.has_missing():
         raise ValueError("mains has missing values; run fill_gaps first")
     cfg = model.config
-    s = cfg.window.s
+    s, l = cfg.window.s, cfg.state_count
     total = len(mains)
     if total < s:
         raise ValueError(f"series length {total} is shorter than the output window {s}")
@@ -248,29 +253,40 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
         starts = np.append(starts, total - s)  # cover the tail
     norm = normalize(mains, state_model.norm_mean, state_model.norm_std)
     pad = normalize(np.zeros(1), state_model.norm_mean, state_model.norm_std)[0]
-
-    def gate(rows):  # argmax unless plain, then the median filter for the median variants
-        rows = rows if variant == "plain" else hard_gate(rows)
-        return median_filter(rows, filter_cfg) if variant in ("median", "hard_median") else rows
-
-    def window_outputs():
-        for lo in range(0, len(starts), INFER_BATCH_WINDOWS):
-            chunk = starts[lo : lo + INFER_BATCH_WINDOWS]
-            row_starts, window_row, offsets, extent = shared_rows(
-                chunk, cfg.window, cfg.feature_stride())
-            inputs = input_window(norm, row_starts,
-                                  WindowConfig(extent + s, cfg.window.w), pad)
-            with ad.no_tape():  # each layer's arrays are freed once the next has read them
-                fwd = model.forward_tensors(inputs, window_row, offsets)
-            rows, values = gate(fwd.state_probs.values), fwd.combined.values
-            if variant != "plain":
-                values = combine_hard(fwd.ratings.values, rows)
-            yield from zip(chunk, np.concatenate([values[..., None], rows], axis=-1))
-
-    merged = reconcile_overlaps(window_outputs(), total)
+    filtered = variant in ("median", "hard_median")
+    power = np.zeros(total)
+    # plain sums its soft rows; the other variants count state votes
+    state_sums = np.zeros((total, l), np.float64 if variant == "plain" else np.int32)
+    for lo in range(0, len(starts), INFER_BATCH_WINDOWS):
+        chunk = starts[lo : lo + INFER_BATCH_WINDOWS]
+        row_starts, window_row, offsets, extent = shared_rows(
+            chunk, cfg.window, cfg.feature_stride())
+        inputs = input_window(norm, row_starts,
+                              WindowConfig(extent + s, cfg.window.w), pad)
+        with ad.no_tape():  # each layer's arrays are freed once the next has read them
+            fwd = model.forward_tensors(inputs, window_row, offsets)
+        if variant == "plain":
+            states, values = fwd.state_probs.values, fwd.combined.values
+        else:
+            states = hard_gate(fwd.state_probs.values)
+            if filtered:
+                states = median_filter(states, filter_cfg)
+            values = combine_hard(fwd.ratings.values, states)
+        reconcile_overlaps(power, chunk, values)
+        reconcile_overlaps(state_sums, chunk, states)
+    cover = np.zeros(total + 1, np.int32)  # windows over each position
+    cover[starts] += 1
+    cover[starts + s] -= 1
+    cover = np.cumsum(cover[:-1])
     estimate = np.maximum(
-        denormalize(merged[:, 0], state_model.norm_mean, state_model.norm_std), 0.0)
-    states = gate(merged[:, 1:])
+        denormalize(power / cover, state_model.norm_mean, state_model.norm_std), 0.0)
+    if variant == "plain":
+        states = state_sums / cover[:, None]
+    else:
+        states = np.argmax(state_sums, axis=1)
+        if filtered:
+            states = median_filter(states, filter_cfg)
+        states = np.eye(l)[states]
     return DisaggregationResult(
         appliance=state_model.name,
         estimate=PowerSeries(mains.start_time, mains.period, estimate),

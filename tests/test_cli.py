@@ -305,6 +305,8 @@ class TestTrain:
         ("shuffle", 1),
         ("conv_stack", [[16.7, 9, 1]]),
         ("conv_stack", [16, 9]),
+        ("learning_rate", float("nan")),  # json reads NaN and Infinity
+        ("tau", float("inf")),
     ])
     def test_wrongly_typed_config_value_is_reported(self, workspace, tmp_path,
                                                     capsys, key, value):
@@ -404,6 +406,18 @@ class TestDisaggregate:
                      "--state-model", str(bad), "--out", str(tmp_path / "est")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "key 'norm_mean' must hold a number" in err
+
+    def test_non_finite_state_model_value_is_reported(self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace / "heater_model.json").read_text())
+        bad = tmp_path / "states.json"
+        bad.write_text(json.dumps(dict(doc, norm_mean=float("nan"))))
+        assert main(["disaggregate",
+                     "--checkpoint", str(workspace / "run" / "checkpoint.ddnn"),
+                     "--mains", str(workspace / "data" / "mains.csv"),
+                     "--state-model", str(bad), "--out", str(tmp_path / "est")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "key 'norm_mean' must hold a number" in err
+        assert not (tmp_path / "est" / "estimate.csv").exists()
 
     def test_non_finite_checkpoint_is_reported(self, workspace, tmp_path, capsys):
         net = load_checkpoint(workspace / "run" / "checkpoint.ddnn")

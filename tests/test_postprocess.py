@@ -14,6 +14,19 @@ def one_hot(indices, l):
     return np.eye(l)[np.asarray(indices)]
 
 
+def merge(windows, total):
+    """Per-position mean of (start, values) windows, each added by its own
+    ``reconcile_overlaps`` call as a batch of one."""
+    sums, cover = None, np.zeros(total)
+    for start, vals in windows:
+        batch = np.asarray(vals, dtype=np.float64)[None]
+        if sums is None:
+            sums = np.zeros((total,) + batch.shape[2:])
+        reconcile_overlaps(sums, [start], batch)
+        cover[start : start + batch.shape[1]] += 1
+    return sums / cover.reshape((-1,) + (1,) * (sums.ndim - 1))
+
+
 class TestFilterConfig:
     def test_window_must_be_odd_and_at_least_three(self):
         for bad in (1, 2, 4, 0):
@@ -24,16 +37,17 @@ class TestFilterConfig:
 
 class TestHardGate:
     def test_tie_goes_to_lowest_index(self):
-        np.testing.assert_array_equal(hard_gate(np.array([0.5, 0.5])), [1.0, 0.0])
+        np.testing.assert_array_equal(one_hot(hard_gate(np.array([0.5, 0.5])), 2),
+                                      [1.0, 0.0])
 
     def test_rows(self):
         rows = np.array([[0.2, 0.8], [0.9, 0.1]])
-        np.testing.assert_array_equal(hard_gate(rows), [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(one_hot(hard_gate(rows), 2), [[0, 1], [1, 0]])
 
     def test_idempotent(self, rng):
         probs = rng.dirichlet(np.ones(4), size=50)
-        once = hard_gate(probs)
-        np.testing.assert_array_equal(once, hard_gate(once))
+        once = one_hot(hard_gate(probs), 4)
+        np.testing.assert_array_equal(once, one_hot(hard_gate(once), 4))
 
     def test_batch_matches_per_window_calls(self, rng):
         probs = rng.dirichlet(np.ones(3), size=(5, 7))
@@ -55,7 +69,7 @@ class TestHardGate:
         row = np.full(7, 0.1)
         row[hot] = 0.4
         row = row / row.sum()
-        out = hard_gate(row)
+        out = one_hot(hard_gate(row), 7)
         assert out[hot] == 1.0 and out.sum() == 1.0
 
 
@@ -90,30 +104,30 @@ class TestSampleGumbel:
 
 class TestMedianFilter:
     def test_isolated_spike_removed(self):
-        states = one_hot([0, 0, 1, 0, 0], 2)
-        out = median_filter(states, FilterConfig(median_window=3))
+        out = one_hot(median_filter([0, 0, 1, 0, 0], FilterConfig(median_window=3)), 2)
         np.testing.assert_array_equal(out, one_hot([0, 0, 0, 0, 0], 2))
 
     def test_matches_brute_force_binary(self, rng):
-        states = one_hot((rng.random(1000) < 0.3).astype(int), 2)
+        idx = (rng.random(1000) < 0.3).astype(int)
+        states = one_hot(idx, 2)
         for window in (3, 5, 7):
-            out = median_filter(states, FilterConfig(median_window=window))
+            out = one_hot(median_filter(idx, FilterConfig(median_window=window)), 2)
             np.testing.assert_array_equal(out, median_filter_scalar(states, window))
 
     def test_matches_brute_force_multistate(self, rng):
-        states = one_hot(rng.integers(0, 4, size=500), 4)
-        out = median_filter(states, FilterConfig(median_window=5))
+        idx = rng.integers(0, 4, size=500)
+        states = one_hot(idx, 4)
+        out = one_hot(median_filter(idx, FilterConfig(median_window=5)), 4)
         np.testing.assert_array_equal(out, median_filter_scalar(states, 5))
 
     def test_never_introduces_absent_state(self, rng):
         for _ in range(50):
-            states = one_hot(rng.integers(1, 4, size=40), 4)  # OFF never occurs
-            out = median_filter(states, FilterConfig(median_window=5))
+            idx = rng.integers(1, 4, size=40)  # OFF never occurs
+            out = one_hot(median_filter(idx, FilterConfig(median_window=5)), 4)
             assert not np.any(out[:, 0]), "invented the OFF state"
 
     def test_window_wider_than_sequence(self):
-        states = one_hot([1, 1, 0], 2)
-        out = median_filter(states, FilterConfig(median_window=7))
+        out = one_hot(median_filter([1, 1, 0], FilterConfig(median_window=7)), 2)
         # edge windows shrink: positions keep their local majority
         np.testing.assert_array_equal(out.argmax(axis=1), [1, 1, 0])
 
@@ -127,8 +141,9 @@ class TestMedianFilter:
             spikes = np.sort(rng.choice(200, size=12, replace=False))
             spikes = spikes[np.concatenate(([True], np.diff(spikes) >= 3))]
             seq[spikes] = 1
-            once = median_filter(one_hot(seq, 2), cfg)
-            np.testing.assert_array_equal(once, median_filter(once, cfg))
+            once = one_hot(median_filter(seq, cfg), 2)
+            np.testing.assert_array_equal(
+                once, one_hot(median_filter(np.argmax(once, axis=1), cfg), 2))
             # interior spikes are gone after the single pass
             assert not np.any(once[1:-1, 1])
 
@@ -137,14 +152,15 @@ class TestMedianFilter:
         for window in (3, 5):
             seq = np.repeat(rng.integers(0, 3, size=20), window)
             states = one_hot(seq, 3)
-            out = median_filter(states, FilterConfig(median_window=window))
+            out = one_hot(median_filter(seq, FilterConfig(median_window=window)), 3)
             np.testing.assert_array_equal(out, states)
 
     def test_batch_filters_each_sequence_on_its_own(self, rng):
         # a batch of windows is filtered along each window's own time axis,
         # with the shrinking edge windows of every sequence
-        states = one_hot(rng.integers(0, 3, size=(6, 9)), 3)
-        out = median_filter(states, FilterConfig(median_window=5))
+        idx = rng.integers(0, 3, size=(6, 9))
+        states = one_hot(idx, 3)
+        out = one_hot(median_filter(idx, FilterConfig(median_window=5)), 3)
         assert out.shape == states.shape
         for got, seq in zip(out, states):
             np.testing.assert_array_equal(got, median_filter_scalar(seq, 5))
@@ -155,31 +171,30 @@ class TestMedianFilter:
 
     def test_requires_a_time_axis(self):
         with pytest.raises(ValueError, match="shape"):
-            median_filter(np.array([0.0, 1.0]), FilterConfig())
+            median_filter(np.argmax(np.array([0.0, 1.0]), axis=-1), FilterConfig())
 
     def test_constant_input_unchanged(self):
         states = one_hot([2] * 20, 3)
-        np.testing.assert_array_equal(median_filter(states, FilterConfig()), states)
+        np.testing.assert_array_equal(one_hot(median_filter([2] * 20, FilterConfig()), 3),
+                                      states)
 
 
 class TestCombineHard:
     def test_selects_ratings(self):
         ratings = np.array([0.0, 150.0, 400.0])
-        states = one_hot([0, 2, 1, 0], 3)
-        np.testing.assert_array_equal(combine_hard(ratings, states),
+        np.testing.assert_array_equal(combine_hard(ratings, [0, 2, 1, 0]),
                                       [0.0, 400.0, 150.0, 0.0])
 
     def test_range_is_rating_set(self, rng):
         ratings = rng.normal(size=5)
-        states = one_hot(rng.integers(0, 5, size=200), 5)
-        out = combine_hard(ratings, states)
+        out = combine_hard(ratings, rng.integers(0, 5, size=200))
         assert set(np.unique(out)) <= set(ratings)
 
     def test_agrees_with_soft_combine(self, rng):
         ratings = rng.normal(size=4)
-        states = one_hot(rng.integers(0, 4, size=30), 4)
-        soft = combine(ratings, states).values
-        np.testing.assert_allclose(combine_hard(ratings, states), soft, atol=1e-12)
+        idx = rng.integers(0, 4, size=30)
+        soft = combine(ratings, one_hot(idx, 4)).values
+        np.testing.assert_allclose(combine_hard(ratings, idx), soft, atol=1e-12)
 
     def test_soft_rows_rejected(self):
         with pytest.raises(ValueError, match="one-hot"):
@@ -187,17 +202,18 @@ class TestCombineHard:
 
     def test_batch_selects_each_windows_ratings(self, rng):
         ratings = rng.normal(size=(5, 3))
-        states = one_hot(rng.integers(0, 3, size=(5, 8)), 3)
-        out = combine_hard(ratings, states)
+        idx = rng.integers(0, 3, size=(5, 8))
+        out = combine_hard(ratings, idx)
         assert out.shape == (5, 8)
-        for got, r, rows in zip(out, ratings, states):
+        for got, r, rows in zip(out, ratings, one_hot(idx, 3)):
             np.testing.assert_array_equal(got, combine_scalar(r, rows))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="ratings"):
-            combine_hard(np.array([0.0, 1.0, 2.0]), one_hot([0, 1], 2))
+            # indices carry no state count: a state beyond the ratings
+            combine_hard(np.array([0.0, 1.0, 2.0]), [0, 3])
         with pytest.raises(ValueError, match="ratings"):
-            combine_hard(np.zeros((3, 2)), one_hot([[0, 1]] * 2, 2))
+            combine_hard(np.zeros((3, 2)), [[0, 1]] * 2)
 
 
 class TestCombineOracle:
@@ -210,34 +226,60 @@ class TestCombineOracle:
 
 class TestReconcileOverlaps:
     def test_single_cover_identity(self):
-        out = reconcile_overlaps([(0, np.array([1.0, 2.0])),
-                                  (2, np.array([3.0, 4.0]))], 4)
+        out = merge([(0, np.array([1.0, 2.0])),
+                     (2, np.array([3.0, 4.0]))], 4)
         np.testing.assert_array_equal(out, [1.0, 2.0, 3.0, 4.0])
 
     def test_overlap_means(self):
-        out = reconcile_overlaps([(0, np.array([1.0, 1.0, 1.0])),
-                                  (1, np.array([3.0, 3.0, 3.0]))], 4)
+        out = merge([(0, np.array([1.0, 1.0, 1.0])),
+                     (1, np.array([3.0, 3.0, 3.0]))], 4)
         np.testing.assert_array_equal(out, [1.0, 2.0, 2.0, 3.0])
-
-    def test_uncovered_position_named(self):
-        with pytest.raises(ValueError, match="position 2"):
-            reconcile_overlaps([(0, np.array([1.0, 2.0])),
-                                (3, np.array([4.0]))], 4)
 
     def test_out_of_bounds_window(self):
         with pytest.raises(ValueError, match="exceeds"):
-            reconcile_overlaps([(3, np.array([1.0, 2.0]))], 4)
+            merge([(3, np.array([1.0, 2.0]))], 4)
 
     def test_rows_merge_per_column(self):
-        out = reconcile_overlaps([(0, np.array([[1.0, 0.0], [1.0, 0.0]])),
-                                  (1, np.array([[3.0, 1.0], [3.0, 1.0]]))], 3)
+        out = merge([(0, np.array([[1.0, 0.0], [1.0, 0.0]])),
+                     (1, np.array([[3.0, 1.0], [3.0, 1.0]]))], 3)
         np.testing.assert_array_equal(out, [[1.0, 0.0], [2.0, 0.5], [3.0, 1.0]])
 
     def test_trailing_shape_must_agree(self):
         with pytest.raises(ValueError, match=r"expected \(s,\) \+ \(3,\)"):
-            reconcile_overlaps([(0, np.zeros((2, 3))), (2, np.zeros(2))], 4)
+            merge([(0, np.zeros((2, 3))), (2, np.zeros(2))], 4)
         with pytest.raises(ValueError, match="values shape"):
-            reconcile_overlaps([(0, np.float64(1.0))], 1)
+            merge([(0, np.float64(1.0))], 1)
+
+    @pytest.mark.parametrize("columns", [(), (3,)])
+    def test_batch_sums_are_bitwise_a_loop_over_windows(self, rng, columns):
+        # at stride 1 up to s windows cover a position, and a split into
+        # two batches falls between windows that share positions
+        s, total = 8, 60
+        starts = np.arange(total - s + 1)
+        values = rng.normal(scale=1e3, size=(len(starts), s) + columns)
+        want = np.zeros((total,) + columns)
+        for start, vals in zip(starts, values):
+            want[start : start + s] += vals
+        got = np.zeros((total,) + columns)
+        for batch in (slice(0, 21), slice(21, None)):
+            reconcile_overlaps(got, starts[batch], values[batch])
+        assert got.tobytes() == want.tobytes()
+
+    def test_integer_sums_count_state_votes(self):
+        votes = np.zeros((5, 3), dtype=np.int32)
+        reconcile_overlaps(votes, [0, 2], np.array([[2, 2, 0], [1, 2, 2]]))
+        np.testing.assert_array_equal(
+            votes, [[0, 0, 1], [0, 0, 1], [1, 1, 0], [0, 0, 1], [0, 0, 1]])
+
+    def test_vote_beyond_the_state_columns_rejected(self):
+        with pytest.raises(ValueError, match="state index 3"):
+            reconcile_overlaps(np.zeros((4, 3), dtype=np.int32), [0], np.array([[0, 3]]))
+        with pytest.raises(ValueError, match="integer state indices"):
+            reconcile_overlaps(np.zeros((4, 3), dtype=np.int32), [0], np.array([[0.0, 1.0]]))
+
+    def test_sums_must_be_contiguous(self):
+        with pytest.raises(ValueError, match="contiguous"):
+            reconcile_overlaps(np.zeros((4, 2))[:, 0], [0], np.ones((1, 2)))
 
     @given(st.integers(1, 5), st.integers(5, 30))
     @settings(max_examples=30)
@@ -250,5 +292,5 @@ class TestReconcileOverlaps:
             starts.append(total - s)
         for st_ in starts:
             windows.append((st_, np.full(s, 7.5)))
-        out = reconcile_overlaps(windows, total)
+        out = merge(windows, total)
         np.testing.assert_allclose(out, 7.5)

@@ -166,6 +166,10 @@ class TestStateModelIO:
         ("norm_mean", [1], "a number"),
         ("norm_std", True, "a number"),
         ("on_threshold", None, "a number"),
+        # json reads NaN and Infinity, which are not finite numbers
+        ("norm_mean", float("nan"), "a number"),
+        ("norm_std", float("inf"), "a number"),
+        ("centroids", [0.0, float("nan")], "a list of numbers"),
     ])
     def test_wrongly_typed_value_names_file_and_key(self, tmp_path, key, value, kind):
         path = tmp_path / "model.json"
@@ -187,11 +191,12 @@ class TestStateModelIO:
 class TestCheckValue:
     @pytest.mark.parametrize("kind,fitting,misfitting", [
         (int, [0, -3], [1.0, True, "1", None, [1]]),
-        (float, [0.5, 2], [True, "0.5", None, [1.0]]),
+        (float, [0.5, 2], [True, "0.5", None, [1.0], float("nan"), float("-inf"),
+                           10 ** 400]),
         (str, ["x", ""], [1, None, ["x"]]),
         (bool, [True, False], [0, 1, "true", None]),
         (list, [[], [1, "x"]], [{}, "[]", None]),
-        ([float], [[], [1, 2.5]], [[True], ["1"], [[1.0]], 1.0]),
+        ([float], [[], [1, 2.5]], [[True], ["1"], [[1.0]], 1.0, [1.0, float("inf")]]),
         ((None, int), [None, 3], [3.0, "3", False]),
         ((str, [[int]]), ["16x9", [], [[16, 9], [4, 3, 2]]],
          [16, [16, 9], [[1.5]], [[True]], None]),

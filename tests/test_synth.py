@@ -145,6 +145,9 @@ class TestScenarioIO:
         ("start_time", 1.5, "an integer"),
         ("seed", True, "an integer"),
         ("appliances", {}, "a list"),
+        # json reads NaN and Infinity, which are not finite numbers
+        ("unknown_load", float("nan"), "a number"),
+        ("noise_std", float("inf"), "a number"),
     ])
     def test_wrongly_typed_value_names_file_and_key(self, tmp_path, key, value, kind):
         path = tmp_path / "sc.json"
@@ -158,6 +161,8 @@ class TestScenarioIO:
         ("centroids", [0, None], "a list of numbers"),
         ("mean_on_duration", "50", "a number"),
         ("activation_rate", [0.1], "a number"),
+        ("centroids", [0.0, float("nan")], "a list of numbers"),
+        ("mean_on_duration", float("inf"), "a number"),
     ])
     def test_wrongly_typed_appliance_value_names_entry_and_key(self, tmp_path, key,
                                                                value, kind):

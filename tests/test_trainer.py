@@ -7,7 +7,7 @@ import pytest
 from conftest import combine_scalar, median_filter_scalar
 from wattsplit import trainer
 from wattsplit.model import ConvLayerSpec, DisaggNet, NetConfig, total_loss
-from wattsplit.postprocess import FilterConfig, reconcile_overlaps
+from wattsplit.postprocess import FilterConfig
 from wattsplit.series import PowerSeries, denormalize, normalize
 from wattsplit.states import ApplianceStateModel
 from wattsplit.trainer import (
@@ -448,23 +448,48 @@ class TestDisaggregateMatchesPerWindowOracle:
         self.check(monkeypatch, tiny_net(seed=3, conv_stack=STRIDED_STACK), variant,
                    stride, batch_size)
 
-    def test_demo_size_is_bitwise_per_window_predict(self):
-        # the canned demo's net and inference stride: sharing each batch's
-        # conv pass changes no bit of the windows' batched ``predict``
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("stride", [16, 1])
+    def test_demo_size_is_bitwise_per_window_predict(self, monkeypatch, variant, stride):
+        # the canned demo's net at its inference stride, and at stride 1,
+        # where up to 32 windows cover a position. Batches of 100 windows
+        # split the windows over some positions. Sharing each batch's conv
+        # pass and merging each batch in one step change no bit of a
+        # sequential per-window merge over the windows' batched ``predict``.
         net = DisaggNet(NetConfig(WindowConfig(32, 40), L, ((16, 9), (16, 7), (24, 5)),
                                   hidden=96, seed=4))
         mains, sm = make_mains(total=3011, seed=9), heater_model()
-        res = disaggregate(net, mains, sm, "plain", stride=16)
+        batch = 100
+        monkeypatch.setattr(trainer, "INFER_BATCH_WINDOWS", batch)
+        res = disaggregate(net, mains, sm, variant, stride=stride)
+        total, s = len(mains), 32
         norm = normalize(mains, sm.norm_mean, sm.norm_std)
         pad = normalize(np.zeros(1), sm.norm_mean, sm.norm_std)[0]
-        starts = np.append(np.arange(0, len(mains) - 32 + 1, 16), len(mains) - 32)
-        outputs = []
-        for lo in range(0, len(starts), trainer.INFER_BATCH_WINDOWS):
-            chunk = starts[lo : lo + trainer.INFER_BATCH_WINDOWS]
-            out = net.predict(input_window(norm, chunk, net.config.window, pad))
-            outputs += zip(chunk, np.concatenate([out.combined[..., None],
-                                                  out.state_probs], axis=-1))
-        merged = reconcile_overlaps(outputs, len(mains))
-        estimate = np.maximum(denormalize(merged[:, 0], sm.norm_mean, sm.norm_std), 0.0)
+        starts = list(range(0, total - s + 1, stride))
+        if starts[-1] != total - s:
+            starts.append(total - s)
+        assert starts[batch] - starts[batch - 1] < s  # windows 99 and 100 overlap
+        filtered = variant in ("median", "hard_median")
+        power_sum, state_sum, cover = np.zeros(total), np.zeros((total, L)), np.zeros(total)
+        for lo in range(0, len(starts), batch):
+            chunk = starts[lo : lo + batch]
+            out = net.predict(input_window(norm, np.array(chunk), net.config.window, pad))
+            for st, probs, ratings, combined in zip(chunk, out.state_probs, out.ratings,
+                                                    out.combined):
+                rows, values = probs, combined
+                if variant != "plain":
+                    rows = np.eye(L)[np.argmax(probs, axis=1)]
+                    if filtered:
+                        rows = median_filter_scalar(rows, 5)
+                    values = combine_scalar(ratings, rows)
+                power_sum[st : st + s] += values
+                state_sum[st : st + s] += rows
+                cover[st : st + s] += 1
+        estimate = np.maximum(denormalize(power_sum / cover, sm.norm_mean, sm.norm_std), 0.0)
+        states = state_sum / cover[:, None]
+        if variant != "plain":
+            states = np.eye(L)[np.argmax(states, axis=1)]
+            if filtered:
+                states = median_filter_scalar(states, 5)
         assert res.estimate.values.tobytes() == estimate.tobytes()
-        assert res.states.tobytes() == merged[:, 1:].tobytes()
+        assert res.states.tobytes() == states.tobytes()
