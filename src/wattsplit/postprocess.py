@@ -20,6 +20,7 @@ __all__ = [
     "median_filter",
     "combine_hard",
     "reconcile_overlaps",
+    "window_cover",
 ]
 
 
@@ -41,16 +42,9 @@ def hard_gate(probabilities) -> np.ndarray:
     rows = np.asarray(probabilities, dtype=np.float64)
     if rows.ndim == 0 or rows.size == 0:
         raise ValueError("hard_gate: empty input")
-    # a pass per state column: numpy reduces a short last axis slowly
-    idx = np.zeros(rows.shape[:-1], dtype=np.intp)
-    best, sums = rows[..., 0], rows[..., 0].copy()
-    for j in range(1, rows.shape[-1]):
-        idx[rows[..., j] > best] = j
-        best = np.maximum(best, rows[..., j])
-        sums += rows[..., j]
-    if not np.all(np.abs(sums - 1.0) <= 1e-6):
+    if not np.all(np.abs(rows.sum(axis=-1) - 1.0) <= 1e-6):
         raise ValueError("hard_gate: rows must sum to 1 within 1e-6")
-    return idx
+    return np.argmax(rows, axis=-1)
 
 
 def _state_indices(states, op: str) -> np.ndarray:
@@ -93,7 +87,7 @@ def median_filter(states, cfg: FilterConfig = FilterConfig()) -> np.ndarray:
     ht = np.minimum(half, np.minimum(t, total - 1 - t))
     csum = np.zeros(idx.shape[:-1] + (total + 1,), dtype=np.int32)
     out = np.zeros(idx.shape, dtype=np.intp)
-    for j in range(int(idx.max(initial=0)) + 1):  # a pass per state, as in hard_gate
+    for j in range(int(idx.max(initial=0)) + 1):
         np.cumsum(idx == j, axis=-1, dtype=np.int32, out=csum[..., 1:])
         votes = csum[..., t + ht + 1] - csum[..., t - ht]  # occurrences of state j
         if j == 0:
@@ -162,3 +156,20 @@ def reconcile_overlaps(sums, starts, values) -> None:
         columns = values.reshape(len(pos), -1)
         for j in range(flat.shape[1]):
             np.add.at(flat[:, j], pos, columns[:, j])
+
+
+def window_cover(starts, lengths, total: int) -> np.ndarray:
+    """How many windows cover each position of ``[0, total)``: the window
+    at ``starts[k]`` covers ``lengths[k]`` positions (``lengths`` may be
+    one number for all). A merge's per-position mean divides its sums by
+    this, so every position must be covered.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    ends = starts + np.broadcast_to(np.asarray(lengths, dtype=np.intp), starts.shape)
+    if np.any(starts < 0) or np.any(ends > total):
+        raise ValueError(f"windows must lie within [0, {total})")
+    cover = np.cumsum(np.bincount(starts, minlength=total + 1)
+                      - np.bincount(ends, minlength=total + 1))[:-1]
+    if not cover.all():
+        raise ValueError(f"position {int(np.argmin(cover))} is not covered by any window")
+    return cover

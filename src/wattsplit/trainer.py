@@ -9,7 +9,7 @@ import numpy as np
 from . import autodiff as ad
 from .model import DisaggNet, combine, head_pass, total_loss
 from .postprocess import (FilterConfig, combine_hard, hard_gate, median_filter,
-                          reconcile_overlaps, sample_gumbel)
+                          reconcile_overlaps, sample_gumbel, window_cover)
 from .series import PowerSeries, denormalize, normalize
 from .states import ApplianceStateModel
 from .windows import WindowConfig, WindowedExample, input_window, shared_rows
@@ -251,6 +251,7 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     starts = np.arange(0, total - s + 1, stride)
     if starts[-1] != total - s:
         starts = np.append(starts, total - s)  # cover the tail
+    cover = window_cover(starts, s, total)  # windows over each position
     norm = normalize(mains, state_model.norm_mean, state_model.norm_std)
     pad = normalize(np.zeros(1), state_model.norm_mean, state_model.norm_std)[0]
     filtered = variant in ("median", "hard_median")
@@ -274,10 +275,6 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
             values = combine_hard(fwd.ratings.values, states)
         reconcile_overlaps(power, chunk, values)
         reconcile_overlaps(state_sums, chunk, states)
-    cover = np.zeros(total + 1, np.int32)  # windows over each position
-    cover[starts] += 1
-    cover[starts + s] -= 1
-    cover = np.cumsum(cover[:-1])
     estimate = np.maximum(
         denormalize(power / cover, state_model.norm_mean, state_model.norm_std), 0.0)
     if variant == "plain":

@@ -355,9 +355,11 @@ def test_a8_one_at_a_time(scorecard, demo_outcome):
             assert np.all(rows >= 0)
             soft_rows += rows.shape[0]
             for window_rows in probs:
-                hard = np.eye(window_rows.shape[-1])[hard_gate(window_rows)]
-                assert np.array_equal(hard.sum(axis=1), np.ones(len(hard)))
-                assert set(np.unique(hard)) <= {0.0, 1.0}
+                hard = hard_gate(window_rows)
+                assert hard.dtype.kind in "iu"
+                assert hard.shape == window_rows.shape[:-1]
+                assert np.all((hard >= 0) & (hard < window_rows.shape[-1]))
+                assert np.array_equal(hard, np.argmax(window_rows, axis=1))
                 hard_rows += len(hard)
             # the merged sequences honor the same contracts
             plain_states = app.results["plain"].states
@@ -367,5 +369,5 @@ def test_a8_one_at_a_time(scorecard, demo_outcome):
                 assert set(np.unique(seq)) <= {0.0, 1.0}
                 assert np.array_equal(seq.sum(axis=1), np.ones(len(seq)))
         detail.append(f"{soft_rows} soft rows sum to 1 within 1e-6 and "
-                      f"{hard_rows} gated rows are exactly one-hot across all "
+                      f"{hard_rows} gated rows give their argmax state index across all "
                       "evaluation windows")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import combine_scalar, median_filter_scalar
 from wattsplit.model import combine
 from wattsplit.postprocess import (FilterConfig, combine_hard, hard_gate, median_filter,
-                                   reconcile_overlaps, sample_gumbel)
+                                   reconcile_overlaps, sample_gumbel, window_cover)
 
 
 def one_hot(indices, l):
@@ -17,13 +17,15 @@ def one_hot(indices, l):
 def merge(windows, total):
     """Per-position mean of (start, values) windows, each added by its own
     ``reconcile_overlaps`` call as a batch of one."""
-    sums, cover = None, np.zeros(total)
+    sums, starts, lengths = None, [], []
     for start, vals in windows:
         batch = np.asarray(vals, dtype=np.float64)[None]
         if sums is None:
             sums = np.zeros((total,) + batch.shape[2:])
         reconcile_overlaps(sums, [start], batch)
-        cover[start : start + batch.shape[1]] += 1
+        starts.append(start)
+        lengths.append(batch.shape[1])
+    cover = window_cover(starts, lengths, total)
     return sums / cover.reshape((-1,) + (1,) * (sums.ndim - 1))
 
 
@@ -235,6 +237,11 @@ class TestReconcileOverlaps:
                      (1, np.array([3.0, 3.0, 3.0]))], 4)
         np.testing.assert_array_equal(out, [1.0, 2.0, 2.0, 3.0])
 
+    def test_uncovered_position_named(self):
+        with pytest.raises(ValueError, match="position 2"):
+            merge([(0, np.array([1.0, 2.0])),
+                   (3, np.array([4.0]))], 4)
+
     def test_out_of_bounds_window(self):
         with pytest.raises(ValueError, match="exceeds"):
             merge([(3, np.array([1.0, 2.0]))], 4)
@@ -276,6 +283,12 @@ class TestReconcileOverlaps:
             reconcile_overlaps(np.zeros((4, 3), dtype=np.int32), [0], np.array([[0, 3]]))
         with pytest.raises(ValueError, match="integer state indices"):
             reconcile_overlaps(np.zeros((4, 3), dtype=np.int32), [0], np.array([[0.0, 1.0]]))
+
+    def test_cover_counts_windows_per_position(self):
+        np.testing.assert_array_equal(window_cover([0, 1, 3], 3, 6), [1, 2, 2, 2, 1, 1])
+        np.testing.assert_array_equal(window_cover([0, 0], [1, 2], 2), [2, 1])
+        with pytest.raises(ValueError, match=r"within \[0, 4\)"):
+            window_cover([2], 3, 4)
 
     def test_sums_must_be_contiguous(self):
         with pytest.raises(ValueError, match="contiguous"):
