@@ -55,9 +55,14 @@ CROSS_ENTROPY_CLIP = 1e-12
 
 
 class Tensor:
-    """A float64 array plus an optional gradient of the same shape."""
+    """A float64 array plus an optional gradient of the same shape.
 
-    __slots__ = ("values", "grad", "_parents", "_backward", "__weakref__")
+    ``grad_view``, when set (``optim.Adam`` sets it on the tensors it
+    updates), is an array of the values' shape that backward writes the
+    gradient into: ``grad`` is then that array, or None.
+    """
+
+    __slots__ = ("values", "grad", "grad_view", "_parents", "_backward", "__weakref__")
 
     def __init__(self, values):
         v = np.asarray(values, dtype=np.float64)
@@ -65,6 +70,7 @@ class Tensor:
             v = np.ascontiguousarray(v)
         self.values = v
         self.grad = None
+        self.grad_view = None
         self._parents = ()
         self._backward = None
 
@@ -243,7 +249,18 @@ def _lift(x) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    t.grad = g if t.grad is None else t.grad + g
+    """Add ``g`` to ``t.grad``. Into a ``grad_view`` the first gradient is
+    copied and any later one added in place, which rounds as ``grad + g``."""
+    if t.grad is None:
+        if t.grad_view is None:
+            t.grad = g
+        else:
+            np.copyto(t.grad_view, g)
+            t.grad = t.grad_view
+    elif t.grad is t.grad_view:
+        t.grad += g
+    else:
+        t.grad = t.grad + g
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -314,7 +331,9 @@ def window_gather(x, rows, offsets, width: int) -> Tensor:
     out[b] = x[rows[b], :, offsets[b] : offsets[b] + width] flattened
     channel-major to [channels * width]. Windows may overlap and may share
     a row; the backward pass sums the gradients of every window that read
-    a position.
+    a position. When row b holds the one window b, full width at offset 0
+    (every training step), the output is a view of x, and the gradient is
+    the output's plus 0.0: the bits of the sum onto zeros, with -0.0 as 0.0.
     """
     x = _lift(x)
     xv = x.values
@@ -331,6 +350,14 @@ def window_gather(x, rows, offsets, width: int) -> Tensor:
         raise ValueError(f"window_gather: a window of width {width} falls outside "
                          f"the input of shape {xv.shape}")
     batch = len(rows)
+    if (batch == n_rows and width == length and not offsets.any()
+            and np.array_equal(rows, np.arange(batch))):
+        out = Tensor(xv.reshape(batch, channels * width))
+
+        def _bwd_rows(g):
+            _accumulate(x, g.reshape(xv.shape) + 0.0)
+
+        return _record(out, _bwd_rows, x)
     windows = sliding_window_view(xv, width, axis=2)[rows, :, offsets]  # [B,C,width]
     out = Tensor(windows.reshape(batch, channels * width))
 

@@ -207,6 +207,44 @@ class TestWindowGather:
         x = rng.normal(size=(3, 2, 5))
         out = window_gather(Tensor(x), np.arange(3), np.zeros(3, dtype=int), 5)
         assert out.values.tobytes() == x.reshape(3, 10).tobytes()
+        assert np.shares_memory(out.values, x)
+
+    def test_one_window_per_row_matches_the_general_path_bitwise(self, rng):
+        # a fourth row that no window reads sends the same windows down the
+        # general path; the upstream gradient holds a -0.0
+        x = rng.normal(size=(4, 2, 5))
+        g = rng.normal(size=(3, 10))
+        g[1, 4] = -0.0
+        grads = []
+        for rows_in in (x[:3].copy(), x):
+            xt = Tensor(rows_in)
+            out = window_gather(xt, np.arange(3), np.zeros(3, dtype=int), 5)
+            assert out.values.tobytes() == x[:3].reshape(3, 10).tobytes()
+            out.backward(g)
+            grads.append(xt.grad[:3])
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert grads[0][1, 0, 4] == 0.0 and not np.signbit(grads[0][1, 0, 4])
+
+    @pytest.mark.parametrize("rows,offsets,width", [
+        ([1, 0, 2], [0, 0, 0], 5),  # rows out of order
+        ([0, 1, 2], [0, 0, 0], 4),  # partial width
+        ([0, 1, 2], [0, 1, 0], 4),  # an offset
+        ([0, 0, 2], [0, 0, 0], 5),  # a shared row
+    ])
+    def test_general_path_matches_a_loop(self, rows, offsets, width, rng):
+        x = rng.normal(size=(3, 2, 5))
+        rows, offsets = np.array(rows), np.array(offsets)
+        xt = Tensor(x)
+        out = window_gather(xt, rows, offsets, width)
+        assert not np.shares_memory(out.values, x)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        want = np.zeros_like(x)
+        for b in range(3):
+            np.testing.assert_array_equal(
+                out.values[b], x[rows[b], :, offsets[b] : offsets[b] + width].ravel())
+            want[rows[b], :, offsets[b] : offsets[b] + width] += g[b].reshape(2, width)
+        assert xt.grad.tobytes() == want.tobytes()
 
     def test_gradients_match_finite_differences(self, rng):
         # overlapping windows on two of three rows, offset 1 of row 0 read

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from wattsplit.autodiff import Tensor
+from wattsplit.autodiff import Tensor, add, dense, mse_loss
 from wattsplit.optim import BLOCK, Adam, Parameter
 
 
@@ -63,10 +63,17 @@ class TestAdam:
         np.testing.assert_array_equal(p.tensor.values, [1.0, -2.0])
         assert opt.step_count == 1
 
-    def test_missing_gradient_rejected_with_name(self):
+    @pytest.mark.parametrize("steps_before", [0, 1])
+    def test_missing_gradient_rejected_with_name(self, steps_before):
+        # after a first step the parameter has a gradient view, but no gradient
         p = make_param([1.0], name="power/fc/weights")
-        with pytest.raises(ValueError, match="power/fc/weights"):
-            Adam().step([p])
+        opt = Adam()
+        for _ in range(steps_before):
+            p.tensor.grad = np.array([1.0])
+            opt.step([p])
+        assert (p.tensor.grad_view is not None) == (steps_before > 0)
+        with pytest.raises(ValueError, match="power/fc/weights.*has no gradient"):
+            opt.step([p])
 
     def test_non_trainable_untouched(self):
         frozen = Parameter("frozen", Tensor([5.0]), trainable=False)
@@ -75,6 +82,21 @@ class TestAdam:
         Adam().step([frozen, live])
         assert frozen.tensor.values[0] == 5.0
         assert live.tensor.values[0] != 1.0
+
+    def test_frozen_parameter_between_trainable_ones_keeps_its_array(self):
+        first, last = make_param([1.0, 2.0], name="first"), make_param([3.0], name="last")
+        own = np.array([5.0, 6.0, 7.0])
+        frozen = Parameter("frozen", Tensor(own), trainable=False)
+        opt = Adam()
+        for _ in range(3):
+            first.tensor.grad, last.tensor.grad = np.ones(2), np.ones(1)
+            opt.step([first, frozen, last])
+        assert frozen.tensor.values is own
+        np.testing.assert_array_equal(own, [5.0, 6.0, 7.0])
+        assert frozen.tensor.grad_view is None
+        # the trainable values are adjacent views of one vector
+        assert first.tensor.values.base is last.tensor.values.base
+        assert not np.shares_memory(own, first.tensor.values.base)
 
     def test_gradients_cleared_after_step(self):
         p = make_param([1.0])
@@ -95,12 +117,18 @@ class TestAdam:
         q.tensor.grad = np.zeros(2)
         with pytest.raises(ValueError, match="changed"):
             opt.step([q])
+        # same shape, but no longer a view of the optimizer's vector
+        p.tensor.values = np.zeros(2)
+        p.tensor.grad = np.zeros(2)
+        with pytest.raises(ValueError, match="changed"):
+            opt.step([p])
 
     def test_in_place_update_is_bitwise_the_textbook_update(self):
         rng = np.random.default_rng(3)
-        # the 40,000 values span three update blocks, the last one partial
-        shapes = [(4, 3), (5,), (200, 200)]
-        assert 2 * BLOCK < 200 * 200 < 3 * BLOCK
+        # the 160,000 values span three update blocks, the last one partial,
+        # and the parameters' boundaries fall inside the first and the last
+        shapes = [(4, 3), (5,), (400, 400), (3, 7)]
+        assert 2 * BLOCK < 400 * 400 < 3 * BLOCK
         params = [Parameter(f"w{i}", Tensor(rng.normal(size=shape)))
                   for i, shape in enumerate(shapes)]
         theta = [p.tensor.values.copy() for p in params]
@@ -120,6 +148,25 @@ class TestAdam:
                     np.sqrt(v[i] / (1 - b2 ** t)) + eps)
             for p, want in zip(params, theta):
                 assert p.tensor.values.tobytes() == want.tobytes()
+
+    def test_gradient_of_a_parameter_used_twice_is_bitwise_the_sum(self, rng):
+        p = Parameter("w", Tensor(rng.normal(size=(4, 3))))
+        p.tensor.grad = np.zeros((4, 3))
+        opt = Adam()
+        opt.step([p])  # gives the parameter its gradient view
+        x1, x2 = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        bias, target = np.zeros(4), rng.normal(size=(5, 4))
+
+        def loss(w1, w2):
+            return mse_loss(add(dense(x1, w1, bias), dense(x2, w2, bias)), target)
+
+        loss(p.tensor, p.tensor).backward()
+        assert p.tensor.grad is p.tensor.grad_view
+        g1, g2 = Tensor(p.tensor.values.copy()), Tensor(p.tensor.values.copy())
+        loss(g1, g2).backward()
+        assert p.tensor.grad.tobytes() == (g1.grad + g2.grad).tobytes()
+        opt.step([p])
+        assert p.tensor.grad is None
 
     def test_non_contiguous_values_rejected(self):
         p = make_param(np.zeros((3, 2)))
