@@ -263,6 +263,15 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
+def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+    """``_accumulate(t, a @ b)``; the first product of a step is written
+    straight into ``t.grad_view``, without an array of its size beside it."""
+    if t.grad is None and t.grad_view is not None:
+        t.grad = np.matmul(a, b, out=t.grad_view)
+    else:
+        _accumulate(t, a @ b)
+
+
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{op}: input contains NaN or Inf")
@@ -389,7 +398,7 @@ def dense(x, weights, bias) -> Tensor:
     out = Tensor(xv @ wv.T + bv)
 
     def _bwd(g):
-        _accumulate(weights, g.T @ xv)
+        _accumulate_product(weights, g.T, xv)
         _accumulate(bias, g.sum(axis=0))
         _accumulate(x, g @ wv)
 
