@@ -341,8 +341,9 @@ def window_gather(x, rows, offsets, width: int) -> Tensor:
     channel-major to [channels * width]. Windows may overlap and may share
     a row; the backward pass sums the gradients of every window that read
     a position. When row b holds the one window b, full width at offset 0
-    (every training step), the output is a view of x, and the gradient is
-    the output's plus 0.0: the bits of the sum onto zeros, with -0.0 as 0.0.
+    (every training step), the output is a view of x, and x's gradient is
+    the output's gradient plus 0.0: the bits of the sum onto zeros, which
+    turns -0.0 into 0.0.
     """
     x = _lift(x)
     xv = x.values

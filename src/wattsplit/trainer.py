@@ -117,7 +117,8 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
     ``autodiff.run_pair``. Tapes hold no reference cycles and ``backward``
     consumes them, so each step's memory is freed by reference counting.
     The two tasks touch disjoint parameters, so the result is the same bits
-    on one thread or two.
+    on one thread or two. Each subnetwork's parameters stay views of its
+    optimizer's values vector after training.
     """
     from .optim import Adam
 
@@ -168,6 +169,8 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
         report.epochs.append(EpochStats(epoch, float(means[0]), float(means[1]),
                                         float(means[2])))
         model.epochs_seen += 1
+    for p in model.parameters():  # the optimizers' gradient vectors end with them
+        p.tensor.grad_view = None
     report.wall_time_s = time.perf_counter() - started
     return model, report
 

@@ -63,15 +63,15 @@ class TestAdam:
         np.testing.assert_array_equal(p.tensor.values, [1.0, -2.0])
         assert opt.step_count == 1
 
-    @pytest.mark.parametrize("steps_before", [0, 1])
-    def test_missing_gradient_rejected_with_name(self, steps_before):
-        # after a first step the parameter has a gradient view, but no gradient
+    def test_missing_gradient_rejected_with_name(self):
         p = make_param([1.0], name="power/fc/weights")
+        with pytest.raises(ValueError, match="power/fc/weights"):
+            Adam().step([p])
+        # on a later step the parameter has a gradient view, but no gradient
         opt = Adam()
-        for _ in range(steps_before):
-            p.tensor.grad = np.array([1.0])
-            opt.step([p])
-        assert (p.tensor.grad_view is not None) == (steps_before > 0)
+        p.tensor.grad = np.array([1.0])
+        opt.step([p])
+        assert p.tensor.grad is None and p.tensor.grad_view is not None
         with pytest.raises(ValueError, match="power/fc/weights.*has no gradient"):
             opt.step([p])
 

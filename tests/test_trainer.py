@@ -146,6 +146,17 @@ class TestTrain:
         finally:
             gc.enable()
 
+    def test_each_subnetwork_is_laid_out_in_one_vector(self):
+        net = tiny_net()
+        train(net, make_examples(6), TrainConfig(epochs=1, batch_size=4))
+        for sub in (net.power_net, net.state_net):
+            bases = {id(p.tensor.values.base) for p in sub.params}
+            assert len(bases) == 1
+            assert all(p.tensor.grad is None and p.tensor.grad_view is None
+                       for p in sub.params)
+        assert net.power_net.params[0].tensor.values.base is not \
+            net.state_net.params[0].tensor.values.base
+
     def test_seed_changes_shuffle_order(self):
         outs = []
         for seed in (0, 1):
