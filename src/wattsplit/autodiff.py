@@ -11,8 +11,9 @@ it goes. Inside ``no_tape()`` the operations record nothing, so each
 intermediate is freed as soon as the next operation has read it.
 
 Inputs may be ``Tensor`` instances or anything ``np.asarray`` accepts;
-plain arrays are lifted to constant tensors (they still receive gradients,
-which are simply never read).
+plain arrays are lifted to constant tensors. ``conv1d`` computes no input
+gradient for a plain array; the other operations still give one a gradient,
+which is simply never read.
 
 ``run_pair`` runs two independent computations, such as the twin
 subnetworks, on two threads when OpenBLAS runs on one thread and the
@@ -28,7 +29,7 @@ import threading
 import weakref
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 __all__ = [
     "Tensor",
@@ -278,22 +279,25 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 def conv1d(x, kernels, bias, stride: int = 1) -> Tensor:
-    """Valid (no padding) 1-D convolution.
+    """Valid (no padding) 1-D convolution over channels-last activations.
 
-    x: [batch, channels_in, length]
+    x: [batch, length, channels_in]
     kernels: [channels_out, channels_in, k], bias: [channels_out]
-    out[b, c, t] = bias[c] + sum_{ci, j} kernels[c, ci, j] * x[b, ci, t * stride + j]
+    out[b, t, c] = bias[c] + sum_{ci, j} kernels[c, ci, j] * x[b, t * stride + j, ci]
+
+    A plain array ``x`` is a constant: it gets no input gradient.
     """
+    wants_x = isinstance(x, Tensor)
     x, kernels, bias = _lift(x), _lift(kernels), _lift(bias)
     if not isinstance(stride, int) or stride < 1:
         raise ValueError(f"conv1d: stride must be a positive int, got {stride!r}")
     xv, kv, bv = x.values, kernels.values, bias.values
     if xv.ndim != 3:
-        raise ValueError(f"conv1d: input must be 3-D [batch, channels, length], "
+        raise ValueError(f"conv1d: input must be 3-D [batch, length, channels], "
                          f"got shape {xv.shape}")
     if kv.ndim != 3:
         raise ValueError(f"conv1d: kernels must be 3-D, got shape {kv.shape}")
-    batch, cin, length = xv.shape
+    batch, length, cin = xv.shape
     cout, kcin, k = kv.shape
     if kcin != cin:
         raise ValueError(
@@ -307,51 +311,62 @@ def conv1d(x, kernels, bias, stride: int = 1) -> Tensor:
     if k > length:
         raise ValueError(f"conv1d: kernel size {k} exceeds input length {length}")
     out_len = (length - k) // stride + 1
-    # im2col: gather every receptive field, then one GEMM per layer
-    win = sliding_window_view(xv, k, axis=2)[:, :, ::stride, :]  # [B,cin,T,k]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(
-        batch, out_len, cin * k
-    )
-    wmat = kv.reshape(cout, cin * k)
-    out_btc = cols @ wmat.T + bv  # [B,T,cout]
-    out_vals = np.ascontiguousarray(out_btc.transpose(0, 2, 1))
-    out = Tensor(out_vals)
+    cols = _im2col(xv, k, stride, out_len)  # [B*T, k*cin]
+    wmat = np.ascontiguousarray(kv.transpose(2, 1, 0)).reshape(k * cin, cout)
+    out_vals = cols @ wmat  # one GEMM for the layer, [B*T, cout]
+    out_vals += bv
+    out = Tensor(out_vals.reshape(batch, out_len, cout))
 
-    def _bwd(g):  # g: [B,cout,T]
-        g_btc = np.ascontiguousarray(g.transpose(0, 2, 1))  # [B,T,cout]
-        _accumulate(bias, g.sum(axis=(0, 2)))
-        g_w = np.tensordot(g_btc, cols, axes=([0, 1], [0, 1]))  # [cout, cin*k]
-        _accumulate(kernels, g_w.reshape(cout, cin, k))
-        g_cols = (g_btc @ wmat).reshape(batch, out_len, cin, k)
-        g_x = np.zeros_like(xv)
-        for j in range(k):  # scatter each tap back onto the input
-            g_x[:, :, j : j + stride * out_len : stride] += g_cols[
-                :, :, :, j
-            ].transpose(0, 2, 1)
-        _accumulate(x, g_x)
+    def _bwd(g):  # g: [B,T,cout]
+        g = g.reshape(batch * out_len, cout)
+        _accumulate(bias, g.sum(axis=0))
+        _accumulate(kernels, (g.T @ cols).reshape(cout, k, cin).transpose(0, 2, 1))
+        if not wants_x:
+            return
+        # the transposed convolution: g, spread to the layer's stride and
+        # padded by k - 1 zeros, convolved with the flipped kernels
+        spread = np.zeros((batch, length + k - 1, cout))
+        spread[:, k - 1 : k + stride * (out_len - 1) : stride] = g.reshape(
+            batch, out_len, cout)
+        flipped = np.ascontiguousarray(kv[:, :, ::-1].transpose(2, 0, 1)).reshape(
+            k * cout, cin)
+        _accumulate(x, (_im2col(spread, k, 1, length) @ flipped).reshape(xv.shape))
 
-    return _record(out, _bwd, x, kernels, bias)
+    return _record(out, _bwd, *((x,) if wants_x else ()), kernels, bias)
+
+
+def _im2col(a: np.ndarray, k: int, stride: int, out_len: int) -> np.ndarray:
+    """[B * out_len, k * C] rows: row (b, t) is a[b, t * stride : t * stride + k]
+    of a C-contiguous channels-last a [B, L, C], one contiguous run of k * C
+    values, so the copy is one row copy per output position."""
+    batch, length, channels = a.shape
+    item = a.itemsize
+    win = as_strided(a, (batch, out_len, k * channels),
+                     (length * channels * item, stride * channels * item, item),
+                     writeable=False)
+    return np.ascontiguousarray(win).reshape(batch * out_len, k * channels)
 
 
 def window_gather(x, rows, offsets, width: int) -> Tensor:
-    """Flattened windows cut from shared rows of a feature map.
+    """Flattened windows cut from shared rows of a channels-last feature map.
 
-    x: [rows, channels, length]; rows, offsets: integer arrays [batch].
-    out[b] = x[rows[b], :, offsets[b] : offsets[b] + width] flattened
+    x: [rows, length, channels]; rows, offsets: integer arrays [batch].
+    out[b] = x[rows[b], offsets[b] : offsets[b] + width, :] flattened
     channel-major to [channels * width]. Windows may overlap and may share
     a row; the backward pass sums the gradients of every window that read
     a position. When row b holds the one window b, full width at offset 0
-    (every training step), the output is a view of x, and x's gradient is
-    the output's gradient plus 0.0: the bits of the sum onto zeros, which
-    turns -0.0 into 0.0.
+    (every training step), the output is x transposed to channel-major in
+    one copy, and x's gradient is the output's gradient plus 0.0: the bits
+    of the sum onto zeros, which turns -0.0 into 0.0. Otherwise the windows
+    are cut from one channel-major copy of x.
     """
     x = _lift(x)
     xv = x.values
     rows, offsets = np.asarray(rows), np.asarray(offsets)
     if xv.ndim != 3:
-        raise ValueError(f"window_gather: input must be 3-D [rows, channels, length], "
+        raise ValueError(f"window_gather: input must be 3-D [rows, length, channels], "
                          f"got shape {xv.shape}")
-    n_rows, channels, length = xv.shape
+    n_rows, length, channels = xv.shape
     if rows.ndim != 1 or rows.shape != offsets.shape:
         raise ValueError(f"window_gather: rows {rows.shape} and offsets "
                          f"{offsets.shape} must be equal 1-D shapes")
@@ -360,22 +375,26 @@ def window_gather(x, rows, offsets, width: int) -> Tensor:
         raise ValueError(f"window_gather: a window of width {width} falls outside "
                          f"the input of shape {xv.shape}")
     batch = len(rows)
+    channel_major = xv.transpose(0, 2, 1)  # [R,C,length]
     if (batch == n_rows and width == length and not offsets.any()
             and np.array_equal(rows, np.arange(batch))):
-        out = Tensor(xv.reshape(batch, channels * width))
+        out = Tensor(channel_major.reshape(batch, channels * width))
 
         def _bwd_rows(g):
-            _accumulate(x, g.reshape(xv.shape) + 0.0)
+            g_x = np.empty_like(xv)
+            np.add(g.reshape(batch, channels, width).transpose(0, 2, 1), 0.0, out=g_x)
+            _accumulate(x, g_x)
 
         return _record(out, _bwd_rows, x)
-    windows = sliding_window_view(xv, width, axis=2)[rows, :, offsets]  # [B,C,width]
+    windows = sliding_window_view(np.ascontiguousarray(channel_major), width,
+                                  axis=2)[rows, :, offsets]  # [B,C,width]
     out = Tensor(windows.reshape(batch, channels * width))
 
     def _bwd(g):
         g = g.reshape(batch, channels, width)
         g_x = np.zeros_like(xv)
         for b in range(batch):  # in window order; overlapping windows add up
-            g_x[rows[b], :, offsets[b] : offsets[b] + width] += g[b]
+            g_x[rows[b], offsets[b] : offsets[b] + width] += g[b].T
         _accumulate(x, g_x)
 
     return _record(out, _bwd, x)

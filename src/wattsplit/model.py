@@ -178,9 +178,9 @@ class _Subnet:
             Tensor(_glorot(rng, (head_width, cfg.hidden), cfg.hidden, head_width))))
         self.params.append(Parameter(f"{prefix}/head/bias", Tensor(np.zeros(head_width))))
 
-    def forward(self, x: Tensor, rows: np.ndarray,
+    def forward(self, x: np.ndarray, rows: np.ndarray,
                 feature_offsets: np.ndarray) -> Tensor:
-        """x: [R, 1, L] input rows -> [B, head_width], one output per window.
+        """x: [R, L, 1] input rows -> [B, head_width], one output per window.
 
         The conv stack runs once over each row; window b reads the
         feature_length conv outputs of row ``rows[b]`` that start at
@@ -252,12 +252,12 @@ class DisaggNet:
         feature_offsets = offsets // step
         batch = len(rows)
         s, l = self.config.window.s, self.config.state_count
-        x = np.ascontiguousarray(x[:, None, :])
-        # each subnetwork reads its own input tensor, so that neither thread
-        # accumulates a gradient into a tensor the other one writes
+        # one channel; a plain array, which gets no gradient, so both
+        # subnetworks read it and neither writes to it
+        x = np.ascontiguousarray(x)[:, :, None]
         ratings, state_out = ad.run_pair(
-            lambda: self.power_net.forward(Tensor(x), rows, feature_offsets),
-            lambda: self.state_net.forward(Tensor(x), rows, feature_offsets))
+            lambda: self.power_net.forward(x, rows, feature_offsets),
+            lambda: self.state_net.forward(x, rows, feature_offsets))
         return head_pass(ratings, ad.reshape(state_out, (batch, s, l)))
 
     def predict(self, inputs: np.ndarray) -> ForwardOutput:

@@ -211,11 +211,11 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     offset (``windows.shared_rows``). Under a conv stack whose strides
     multiply to P, only windows whose starts differ by a multiple of P
     share a row. At the canned demo's stride of 16 a batch of 256 windows
-    convolves 4,192 samples instead of 256 x 112. The outputs are bitwise
-    those of one conv pass per window at the canned demo's and the
-    paper-size stacks. Where a window's conv product is small (a stride-2
-    layer with 49 outputs per window), OpenBLAS can round it differently
-    from the row's, and the outputs differ in the last bits.
+    convolves 4,192 samples instead of 256 x 112. Each conv layer is one
+    GEMM over all output positions of its input rows, so the outputs are
+    bitwise those of a batched ``predict`` over the same windows, one conv
+    pass per window: tested at the canned demo's stack, the paper-size
+    stack and a demo stack with a stride-2 layer.
 
     Each batch is then merged in one step (``reconcile_overlaps``): the
     power values are added at their positions in window order, so every

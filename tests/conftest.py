@@ -39,18 +39,20 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray,
 
 def conv1d_scalar(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
                   stride: int = 1) -> np.ndarray:
-    """Triple-loop valid convolution reference."""
-    cin, length = x.shape
+    """Triple-loop valid convolution reference, channels-last: x [length,
+    channels_in] and kernels [channels_out, channels_in, k] give
+    [out_length, channels_out]."""
+    length, cin = x.shape
     cout, _, k = kernels.shape
     out_len = (length - k) // stride + 1
-    out = np.zeros((cout, out_len))
+    out = np.zeros((out_len, cout))
     for c in range(cout):
         for t in range(out_len):
             acc = bias[c]
             for ci in range(cin):
                 for j in range(k):
-                    acc += kernels[c, ci, j] * x[ci, t * stride + j]
-            out[c, t] = acc
+                    acc += kernels[c, ci, j] * x[t * stride + j, ci]
+            out[t, c] = acc
     return out
 
 

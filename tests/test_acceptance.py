@@ -83,13 +83,14 @@ def _relu_margin(model: DisaggNet, inputs: np.ndarray) -> float:
     margin = np.inf
     outs = {}
     for prefix in ("power", "state"):
-        h = ad.Tensor(inputs[:, None, :])
+        h = ad.Tensor(inputs[:, :, None])
         for i, layer in enumerate(model.config.conv_stack):
             pre = ad.conv1d(h, params[f"{prefix}/conv{i}/kernels"],
                             params[f"{prefix}/conv{i}/bias"], stride=layer.stride)
             margin = min(margin, float(np.min(np.abs(pre.values))))
             h = ad.relu(pre)
-        h = ad.reshape(h, (inputs.shape[0], -1))
+        n = inputs.shape[0]
+        h = ad.window_gather(h, np.arange(n), np.zeros(n, dtype=np.int64), h.shape[1])
         pre = ad.dense(h, params[f"{prefix}/fc/weights"], params[f"{prefix}/fc/bias"])
         margin = min(margin, float(np.min(np.abs(pre.values))))
         h = ad.relu(pre)

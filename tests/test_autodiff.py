@@ -44,10 +44,10 @@ class TestTensor:
 
 # every operation that records a closure, applied to fresh leaf tensors
 RECORDING_OPS = {
-    "conv1d": lambda r: conv1d(Tensor(r.normal(size=(2, 3, 10))),
+    "conv1d": lambda r: conv1d(Tensor(r.normal(size=(2, 10, 3))),
                                Tensor(r.normal(size=(4, 3, 3))),
                                Tensor(r.normal(size=4)), stride=2),
-    "window_gather": lambda r: window_gather(Tensor(r.normal(size=(2, 3, 10))),
+    "window_gather": lambda r: window_gather(Tensor(r.normal(size=(2, 10, 3))),
                                              np.array([0, 1, 1]), np.array([0, 2, 5]), 4),
     "dense": lambda r: dense(Tensor(r.normal(size=(3, 5))), Tensor(r.normal(size=(4, 5))),
                              Tensor(r.normal(size=4))),
@@ -100,13 +100,13 @@ class TestTape:
 class TestConv1d:
     def test_hand_example(self):
         # [1,2,3,4] * kernel [1,0,-1]: 1-3 = -2, 2-4 = -2
-        out = conv1d(Tensor([[[1.0, 2.0, 3.0, 4.0]]]),
+        out = conv1d(Tensor([[[1.0], [2.0], [3.0], [4.0]]]),
                      Tensor([[[1.0, 0.0, -1.0]]]), Tensor([0.0]))
-        assert out.values.shape == (1, 1, 2)
-        np.testing.assert_array_equal(out.values, [[[-2.0, -2.0]]])
+        assert out.values.shape == (1, 2, 1)
+        np.testing.assert_array_equal(out.values, [[[-2.0], [-2.0]]])
 
     def test_matches_scalar_loop(self, rng):
-        x = rng.normal(size=(2, 3, 20))
+        x = rng.normal(size=(2, 20, 3))
         k = rng.normal(size=(5, 3, 4))
         b = rng.normal(size=5)
         for stride in (1, 2, 3):
@@ -116,21 +116,67 @@ class TestConv1d:
                                            conv1d_scalar(x[i], k, b, stride),
                                            rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("batch,length,cin,cout,k,stride", [
+        (2, 11, 1, 3, 4, 1),  # one input channel, as in the first layer
+        (2, 17, 3, 4, 5, 2),
+        (2, 17, 3, 4, 5, 3),
+        (3, 6, 2, 4, 6, 1),   # k == length: one output position
+        (2, 6, 2, 3, 6, 2),
+    ])
+    def test_forward_and_gradients_match_the_scalar_loop(
+            self, batch, length, cin, cout, k, stride, rng):
+        x = rng.normal(size=(batch, length, cin))
+        kern = rng.normal(size=(cout, cin, k))
+        b = rng.normal(size=cout)
+        xt, kt, bt = Tensor(x), Tensor(kern), Tensor(b)
+        out = conv1d(xt, kt, bt, stride=stride)
+        weight = rng.normal(size=out.shape)  # random scalarization
+        for i in range(batch):
+            np.testing.assert_allclose(out.values[i], conv1d_scalar(x[i], kern, b, stride),
+                                       rtol=1e-12, atol=1e-12)
+        out.backward(weight)
+
+        def scalar_loss(xv, kv, bv):
+            return float(sum(np.sum(conv1d_scalar(xv[i], kv, bv, stride) * weight[i])
+                             for i in range(batch)))
+
+        for tensor, arr, f in (
+            (xt, x, lambda v: scalar_loss(v, kern, b)),
+            (kt, kern, lambda v: scalar_loss(x, v, b)),
+            (bt, b, lambda v: scalar_loss(x, kern, v)),
+        ):
+            assert relative_error(tensor.grad, central_difference(f, arr)) < FD_TOL
+
+    def test_plain_array_input_gets_no_gradient(self, rng):
+        x = rng.normal(size=(3, 12, 2))
+        k, b = rng.normal(size=(4, 2, 3)), rng.normal(size=4)
+        g = rng.normal(size=(3, 5, 4))
+        grads = []
+        for inp in (x, Tensor(x)):
+            kt, bt = Tensor(k), Tensor(b)
+            out = conv1d(inp, kt, bt, stride=2)
+            # a plain array is not on the tape: no gradient is computed for it
+            assert out._parents == ((kt, bt) if inp is x else (inp, kt, bt))
+            out.backward(g)
+            grads.append((kt.grad.tobytes(), bt.grad.tobytes()))
+        assert inp.grad is not None
+        assert grads[0] == grads[1]
+
     def test_one_hot_kernel_extracts_shifted_slice(self, rng):
-        x = rng.normal(size=(1, 1, 12))
+        x = rng.normal(size=(1, 12, 1))
         k = np.zeros((1, 1, 3))
         k[0, 0, 2] = 1.0  # picks x[t + 2]
         out = conv1d(Tensor(x), Tensor(k), Tensor(np.zeros(1)))
-        np.testing.assert_array_equal(out.values[0, 0], x[0, 0, 2:])
+        np.testing.assert_array_equal(out.values[0, :, 0], x[0, 2:, 0])
 
     def test_output_length(self, rng):
-        x = rng.normal(size=(1, 1, 11))
+        x = rng.normal(size=(1, 11, 1))
         k = rng.normal(size=(2, 1, 4))
         out = conv1d(Tensor(x), Tensor(k), Tensor(np.zeros(2)), stride=3)
-        assert out.values.shape == (1, 2, (11 - 4) // 3 + 1)
+        assert out.values.shape == (1, (11 - 4) // 3 + 1, 2)
 
     def test_batched_matches_per_example(self, rng):
-        x = rng.normal(size=(4, 2, 15))
+        x = rng.normal(size=(4, 15, 2))
         k = rng.normal(size=(3, 2, 5))
         b = rng.normal(size=3)
         batched = conv1d(Tensor(x), Tensor(k), Tensor(b), stride=2)
@@ -140,25 +186,25 @@ class TestConv1d:
 
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            conv1d(Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 5))),
+            conv1d(Tensor(np.zeros((1, 3, 1))), Tensor(np.zeros((1, 1, 5))),
                    Tensor(np.zeros(1)))
 
     def test_channel_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError) as err:
-            conv1d(Tensor(np.zeros((1, 2, 9))), Tensor(np.zeros((4, 3, 3))),
+            conv1d(Tensor(np.zeros((1, 9, 2))), Tensor(np.zeros((4, 3, 3))),
                    Tensor(np.zeros(4)))
-        assert "(1, 2, 9)" in str(err.value) and "(4, 3, 3)" in str(err.value)
+        assert "(1, 9, 2)" in str(err.value) and "(4, 3, 3)" in str(err.value)
 
     def test_unbatched_input_rejected(self):
-        with pytest.raises(ValueError, match=r"3-D.*\(2, 9\)"):
-            conv1d(Tensor(np.zeros((2, 9))), Tensor(np.zeros((4, 2, 3))),
+        with pytest.raises(ValueError, match=r"3-D.*\(9, 2\)"):
+            conv1d(Tensor(np.zeros((9, 2))), Tensor(np.zeros((4, 2, 3))),
                    Tensor(np.zeros(4)))
 
     def test_gradients_match_finite_differences(self, rng):
-        x = rng.normal(size=(2, 2, 10))
+        x = rng.normal(size=(2, 10, 2))
         k = rng.normal(size=(3, 2, 3))
         b = rng.normal(size=3)
-        weight = rng.normal(size=(2, 3, 8))  # random scalarization
+        weight = rng.normal(size=(2, 8, 3))  # random scalarization
 
         def run(xv, kv, bv):
             out = conv1d(Tensor(xv), Tensor(kv), Tensor(bv))
@@ -178,7 +224,7 @@ class TestConv1d:
             assert relative_error(tensor.grad, fd) < FD_TOL
 
     def test_stride_gradient(self, rng):
-        x = rng.normal(size=(2, 2, 13))
+        x = rng.normal(size=(2, 13, 2))
         k = rng.normal(size=(2, 2, 4))
         b = rng.normal(size=2)
         xt = Tensor(x)
@@ -193,37 +239,42 @@ class TestConv1d:
         assert relative_error(xt.grad, central_difference(f, x)) < FD_TOL
 
 
+def channel_major(block: np.ndarray) -> np.ndarray:
+    """A channels-last [width, channels] block flattened channel-major."""
+    return block.T.ravel()
+
+
 class TestWindowGather:
     def test_matches_slicing_loop(self, rng):
-        x = rng.normal(size=(2, 3, 11))
+        x = rng.normal(size=(2, 11, 3))
         rows, offsets = np.array([0, 1, 0, 0]), np.array([0, 2, 5, 5])
         out = window_gather(Tensor(x), rows, offsets, 4)
         assert out.shape == (4, 12)
         for b in range(4):
             np.testing.assert_array_equal(
-                out.values[b], x[rows[b], :, offsets[b] : offsets[b] + 4].ravel())
+                out.values[b], channel_major(x[rows[b], offsets[b] : offsets[b] + 4]))
 
     def test_one_window_per_row_is_a_reshape(self, rng):
-        x = rng.normal(size=(3, 2, 5))
+        # of the channel-major transpose, so a copy: the map is channels-last
+        x = rng.normal(size=(3, 5, 2))
         out = window_gather(Tensor(x), np.arange(3), np.zeros(3, dtype=int), 5)
-        assert out.values.tobytes() == x.reshape(3, 10).tobytes()
-        assert np.shares_memory(out.values, x)
+        assert out.values.tobytes() == x.transpose(0, 2, 1).reshape(3, 10).tobytes()
 
     def test_one_window_per_row_matches_the_general_path_bitwise(self, rng):
         # a fourth row that no window reads sends the same windows down the
         # general path; the upstream gradient holds a -0.0
-        x = rng.normal(size=(4, 2, 5))
+        x = rng.normal(size=(4, 5, 2))
         g = rng.normal(size=(3, 10))
-        g[1, 4] = -0.0
+        g[1, 4] = -0.0  # channel 0, position 4 of window 1
         grads = []
         for rows_in in (x[:3].copy(), x):
             xt = Tensor(rows_in)
             out = window_gather(xt, np.arange(3), np.zeros(3, dtype=int), 5)
-            assert out.values.tobytes() == x[:3].reshape(3, 10).tobytes()
+            assert out.values.tobytes() == x[:3].transpose(0, 2, 1).reshape(3, 10).tobytes()
             out.backward(g)
             grads.append(xt.grad[:3])
         assert grads[0].tobytes() == grads[1].tobytes()
-        assert grads[0][1, 0, 4] == 0.0 and not np.signbit(grads[0][1, 0, 4])
+        assert grads[0][1, 4, 0] == 0.0 and not np.signbit(grads[0][1, 4, 0])
 
     @pytest.mark.parametrize("rows,offsets,width", [
         ([1, 0, 2], [0, 0, 0], 5),  # rows out of order
@@ -232,7 +283,7 @@ class TestWindowGather:
         ([0, 0, 2], [0, 0, 0], 5),  # a shared row
     ])
     def test_general_path_matches_a_loop(self, rows, offsets, width, rng):
-        x = rng.normal(size=(3, 2, 5))
+        x = rng.normal(size=(3, 5, 2))
         rows, offsets = np.array(rows), np.array(offsets)
         xt = Tensor(x)
         out = window_gather(xt, rows, offsets, width)
@@ -242,14 +293,14 @@ class TestWindowGather:
         want = np.zeros_like(x)
         for b in range(3):
             np.testing.assert_array_equal(
-                out.values[b], x[rows[b], :, offsets[b] : offsets[b] + width].ravel())
-            want[rows[b], :, offsets[b] : offsets[b] + width] += g[b].reshape(2, width)
+                out.values[b], channel_major(x[rows[b], offsets[b] : offsets[b] + width]))
+            want[rows[b], offsets[b] : offsets[b] + width] += g[b].reshape(2, width).T
         assert xt.grad.tobytes() == want.tobytes()
 
     def test_gradients_match_finite_differences(self, rng):
         # overlapping windows on two of three rows, offset 1 of row 0 read
         # twice, and row 2 read by no window (its gradient is zero)
-        x = rng.normal(size=(3, 2, 9))
+        x = rng.normal(size=(3, 9, 2))
         rows = np.array([0, 0, 1, 0, 1, 0])
         offsets = np.array([1, 3, 0, 1, 4, 5])
         weight = rng.normal(size=(6, 8))
@@ -268,8 +319,8 @@ class TestWindowGather:
 
     @pytest.mark.parametrize("rows,offsets", [([2], [0]), ([0], [-1]), ([0], [8])])
     def test_window_outside_input_rejected(self, rows, offsets):
-        with pytest.raises(ValueError, match=r"outside.*\(2, 1, 11\)"):
-            window_gather(Tensor(np.zeros((2, 1, 11))), np.array(rows),
+        with pytest.raises(ValueError, match=r"outside.*\(2, 11, 1\)"):
+            window_gather(Tensor(np.zeros((2, 11, 1))), np.array(rows),
                           np.array(offsets), 4)
 
 
@@ -448,7 +499,7 @@ class TestCompositeOps:
 
     def test_deep_chain_matches_fd(self, rng):
         """Whole small net worth of ops: conv -> relu -> dense -> softmax -> CE."""
-        x = rng.normal(size=(2, 1, 12))
+        x = rng.normal(size=(2, 12, 1))
         k = rng.normal(size=(2, 1, 3), scale=0.7)
         w = rng.normal(size=(6, 20), scale=0.5)
         targets = np.eye(3)[[[0, 2], [1, 1]]]
@@ -472,7 +523,7 @@ class TestCompositeOps:
         assert relative_error(kt.grad, fd) < FD_TOL
 
     def test_forward_values_stay_finite(self, rng):
-        x = rng.normal(size=(2, 2, 30)) * 3
+        x = rng.normal(size=(2, 30, 2)) * 3
         out = softmax(dense(relu(reshape(
             conv1d(Tensor(x), Tensor(rng.normal(size=(3, 2, 5))),
                    Tensor(rng.normal(size=3))), (2, 78))),

@@ -1,6 +1,8 @@
 """Twin-head network: configuration, forward shapes, combine, and losses."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,12 @@ from wattsplit.model import (
     loss_power,
     total_loss,
 )
+from wattsplit.presets import window_for
 from wattsplit.windows import WindowConfig
 
 from conftest import central_difference, relative_error
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_config(s=4, w=3, l=3, seed=0) -> NetConfig:
@@ -230,6 +235,40 @@ class TestForward:
                      (shared.state_probs, single.state_probs),
                      (shared.combined, single.combined)):
             np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-14)
+
+    def test_paper_size_stack_matches_the_per_tap_reference(self, rng, monkeypatch):
+        # bench/reference.py convolves channel-first, one GEMM per tap, with
+        # no code shared with the program's channels-last im2col
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import reference
+
+        cfg = NetConfig(window=window_for("ukdale"), state_count=3,
+                        conv_stack=DEFAULT_CONV_STACK, hidden=16, seed=2)
+        net = DisaggNet(cfg)
+        x = rng.normal(size=(3, cfg.window.input_length))
+        config = {"s": cfg.window.s, "states": cfg.state_count,
+                  "stack": [(c.filters, c.kernel, c.stride) for c in cfg.conv_stack]}
+        want = reference.forward(config, {p.name: p.tensor.values
+                                          for p in net.parameters()}, x)
+        out = net.predict(x)
+        np.testing.assert_allclose(out.ratings, want["ratings"], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.state_probs, want["probs"], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.combined, want["combined"], rtol=1e-12, atol=0)
+
+    def test_tape_leaves_are_the_parameters(self, rng):
+        # the mains input is a constant: conv1d puts no tensor of it on the tape
+        net = DisaggNet(tiny_config())
+        fwd = net.forward_tensors(rng.normal(size=(3, net.config.window.input_length)))
+        leaves, seen, stack = set(), set(), [fwd.combined, fwd.state_probs]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if not node._parents:
+                leaves.add(id(node))
+            stack.extend(node._parents)
+        assert leaves == {id(p.tensor) for p in net.parameters()}
 
     def test_rejects_offset_off_the_conv_stride(self, rng):
         cfg = NetConfig(window=WindowConfig(s=4, w=3), state_count=3,

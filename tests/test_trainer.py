@@ -6,8 +6,10 @@ import pytest
 
 from conftest import combine_scalar, median_filter_scalar
 from wattsplit import trainer
-from wattsplit.model import ConvLayerSpec, DisaggNet, NetConfig, total_loss
+from wattsplit.model import (DEFAULT_CONV_STACK, ConvLayerSpec, DisaggNet, NetConfig,
+                             total_loss)
 from wattsplit.postprocess import FilterConfig
+from wattsplit.presets import window_for
 from wattsplit.series import PowerSeries, denormalize, normalize
 from wattsplit.states import ApplianceStateModel
 from wattsplit.trainer import (
@@ -459,27 +461,22 @@ class TestDisaggregateMatchesPerWindowOracle:
         self.check(monkeypatch, tiny_net(seed=3, conv_stack=STRIDED_STACK), variant,
                    stride, batch_size)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("stride", [16, 1])
-    def test_demo_size_is_bitwise_per_window_predict(self, monkeypatch, variant, stride):
-        # the canned demo's net at its inference stride, and at stride 1,
-        # where up to 32 windows cover a position. Batches of 100 windows
-        # split the windows over some positions. Sharing each batch's conv
-        # pass and merging each batch in one step change no bit of a
-        # sequential per-window merge over the windows' batched ``predict``.
-        net = DisaggNet(NetConfig(WindowConfig(32, 40), L, ((16, 9), (16, 7), (24, 5)),
-                                  hidden=96, seed=4))
-        mains, sm = make_mains(total=3011, seed=9), heater_model()
-        batch = 100
+    @staticmethod
+    def check_bitwise(monkeypatch, net, variant, stride, total, batch):
+        """``disaggregate`` against a sequential per-window merge over the
+        windows' batched ``predict``, bit for bit; windows ``batch - 1`` and
+        ``batch`` overlap, so a batch boundary splits the windows over some
+        positions."""
+        mains, sm = make_mains(total=total, seed=9), heater_model()
         monkeypatch.setattr(trainer, "INFER_BATCH_WINDOWS", batch)
         res = disaggregate(net, mains, sm, variant, stride=stride)
-        total, s = len(mains), 32
+        s = net.config.window.s
         norm = normalize(mains, sm.norm_mean, sm.norm_std)
         pad = normalize(np.zeros(1), sm.norm_mean, sm.norm_std)[0]
         starts = list(range(0, total - s + 1, stride))
         if starts[-1] != total - s:
             starts.append(total - s)
-        assert starts[batch] - starts[batch - 1] < s  # windows 99 and 100 overlap
+        assert starts[batch] - starts[batch - 1] < s
         filtered = variant in ("median", "hard_median")
         power_sum, state_sum, cover = np.zeros(total), np.zeros((total, L)), np.zeros(total)
         for lo in range(0, len(starts), batch):
@@ -504,3 +501,34 @@ class TestDisaggregateMatchesPerWindowOracle:
                 states = median_filter_scalar(states, 5)
         assert res.estimate.values.tobytes() == estimate.tobytes()
         assert res.states.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("stride", [16, 1])
+    def test_demo_size_is_bitwise_per_window_predict(self, monkeypatch, variant, stride):
+        # the canned demo's net at its inference stride, and at stride 1,
+        # where up to 32 windows cover a position. Batches of 100 windows
+        # split the windows over some positions. Sharing each batch's conv
+        # pass and merging each batch in one step change no bit of a
+        # sequential per-window merge over the windows' batched ``predict``.
+        net = DisaggNet(NetConfig(WindowConfig(32, 40), L, ((16, 9), (16, 7), (24, 5)),
+                                  hidden=96, seed=4))
+        self.check_bitwise(monkeypatch, net, variant, stride, total=3011, batch=100)
+
+    @pytest.mark.parametrize("variant", ["plain", "hard_median"])
+    @pytest.mark.parametrize("stride", [16, 1])
+    def test_paper_size_stack_is_bitwise_per_window_predict(self, monkeypatch, variant,
+                                                            stride):
+        # the paper-size window and conv stack (432 input samples, 5 layers
+        # up to 50 channels) with a small dense layer
+        net = DisaggNet(NetConfig(window_for("ukdale"), L, DEFAULT_CONV_STACK,
+                                  hidden=8, seed=4))
+        self.check_bitwise(monkeypatch, net, variant, stride, total=900 if stride > 1 else 400,
+                           batch=40)
+
+    @pytest.mark.parametrize("stride,total", [(16, 3011), (2, 1000)])
+    def test_strided_demo_stack_is_bitwise_per_window_predict(self, monkeypatch, stride,
+                                                              total):
+        # a stride-2 middle layer: total conv stride 2, 45 conv outputs per window
+        net = DisaggNet(NetConfig(WindowConfig(32, 40), L, ((16, 9), (16, 8, 2), (24, 5)),
+                                  hidden=96, seed=4))
+        self.check_bitwise(monkeypatch, net, "hard_median", stride, total, batch=100)
