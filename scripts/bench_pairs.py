@@ -13,7 +13,8 @@ working tree's ``BENCHMARK.json``.
 For each workload and metric this prints the median of the parent's runs
 and of the change's, the change in percent, the pairs the change won and
 the interquartile range of the parent's runs, as a Markdown table, then
-the operations attempted and failed on each side.
+the operations attempted and failed on each side, and the source lines
+of each side as ``wc -l src/wattsplit/*.py`` counts them.
 """
 from __future__ import annotations
 
@@ -59,6 +60,12 @@ def checkout(parent: str, root: Path = ROOT):
         subprocess.run(["git", "-C", str(root), "worktree", "remove", "--force", str(tree)],
                        check=False, capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
+
+
+def source_lines(tree: Path) -> int:
+    """The newlines in ``tree``'s ``src/wattsplit/*.py``: ``wc -l``'s total."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "wattsplit").glob("*.py"))
 
 
 def iqr(values: list[float]) -> float:
@@ -119,11 +126,16 @@ def main(argv=None, run=run_bench) -> int:
                 correct = all(r[k]["correct"] for r in runs)
                 tallies.append(f"{workload} {side}: {failed} of {attempted} operations "
                                f"failed, every run correct: {correct}")
+        lines = {side: source_lines(tree) for side, tree in
+                 (("parent", parent_tree), ("change", ROOT))}
     print("| workload | metric | parent | change | better | parent IQR |")
     print("|---|---|---|---|---|---|")
     print("\n".join(rows))
     print()
     print("\n".join(tallies))
+    print()
+    print(f"wc -l src/wattsplit/*.py: parent {lines['parent']:,}, change "
+          f"{lines['change']:,} ({lines['change'] - lines['parent']:+,})")
     return 0
 
 

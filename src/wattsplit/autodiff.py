@@ -27,6 +27,7 @@ import functools
 import os
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -59,8 +60,8 @@ class Tensor:
     """A float64 array plus an optional gradient of the same shape.
 
     ``grad_view``, when set (``optim.Adam`` sets it on the tensors it
-    updates), is an array of the values' shape that backward writes the
-    gradient into: ``grad`` is then that array, or None.
+    updates), is an array of the values' shape that ``dense`` writes its
+    first weight gradient into; ``Adam.step`` copies any other gradient in.
     """
 
     __slots__ = ("values", "grad", "grad_view", "_parents", "_backward", "__weakref__")
@@ -150,14 +151,18 @@ def no_tape():
         _tape.off = before
 
 
+@functools.cache  # kept loaded: a dropped CDLL leaves cyclic garbage behind
+def _blas_library() -> ctypes.CDLL:
+    from numpy.linalg import _umath_linalg  # a numpy extension linked to its BLAS
+    return ctypes.CDLL(_umath_linalg.__file__)  # also searches the libraries it loaded
+
+
 @functools.cache
 def blas_threads() -> int | None:
     """The thread count of the OpenBLAS that numpy calls, or None where
     numpy's BLAS is not an OpenBLAS that can be asked."""
-    from numpy.linalg import _umath_linalg  # a numpy extension linked to its BLAS
-
-    try:  # symbols are looked up in the extension and the libraries it loaded
-        lib = ctypes.CDLL(_umath_linalg.__file__)
+    try:
+        lib = _blas_library()
     except OSError:
         return None
     for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
@@ -182,13 +187,8 @@ def subnetworks_on_two_threads() -> bool:
     return blas_threads() == 1 and cores >= 2
 
 
-_worker_lock = threading.Lock()  # so that two first calls make one worker
-
-
-@functools.cache  # one worker for the process, started by the first call
-def _worker():
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="wattsplit")
+# one worker for the process; its thread starts at the first submit
+_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="wattsplit")
 
 
 def run_pair(first, second):
@@ -204,9 +204,7 @@ def run_pair(first, second):
         _tape.off = off
         return first()
 
-    with _worker_lock:
-        worker = _worker()
-    future = worker.submit(task)
+    future = _worker.submit(task)
     try:
         second_result = second()
     finally:
@@ -250,18 +248,8 @@ def _lift(x) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to ``t.grad``. Into a ``grad_view`` the first gradient is
-    copied and any later one added in place, which rounds as ``grad + g``."""
-    if t.grad is None:
-        if t.grad_view is None:
-            t.grad = g
-        else:
-            np.copyto(t.grad_view, g)
-            t.grad = t.grad_view
-    elif t.grad is t.grad_view:
-        t.grad += g
-    else:
-        t.grad = t.grad + g
+    """Add ``g`` to ``t.grad``."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:

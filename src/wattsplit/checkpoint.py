@@ -68,7 +68,7 @@ def save_checkpoint(model: DisaggNet, path) -> None:
             fh.write(struct.pack("<I", len(shape)))
             for extent in shape:
                 fh.write(struct.pack("<I", extent))
-            fh.write(np.ascontiguousarray(p.tensor.values, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(p.tensor.values, dtype="<f8"))
 
 
 class _Reader:

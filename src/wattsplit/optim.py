@@ -37,10 +37,11 @@ class Adam:
     The first step lays the trainable parameters, in list order, into one
     values vector, and makes each ``Parameter.tensor.values`` a view of it;
     a gradient vector and the moment vectors (m, v) lie beside it. Each
-    tensor's ``grad_view`` is its view of the gradient vector, which
-    backward writes into; a gradient assigned to ``grad`` instead is copied
-    in. Frozen parameters keep their own arrays. Every step must pass the
-    parameter list of the first step, with the same values arrays.
+    tensor's ``grad_view`` is its view of the gradient vector. ``step``
+    copies each gradient into its view, except one that backward already
+    wrote there (the first weight gradient of a ``dense`` layer). Frozen
+    parameters keep their own arrays. Every step must pass the parameter
+    list of the first step, with the same values arrays.
 
     The moments and the update are computed in place, ``BLOCK`` elements at
     a time in one scratch block and the gradient block, in the order
@@ -82,7 +83,7 @@ class Adam:
                 raise ValueError(f"parameter {p.name!r}: values are not C-contiguous")
         if self._params is None:
             self._lay_out(params, live)
-        for tensor in live:  # each assigned gradient is freed once copied
+        for tensor in live:  # the one copy-in; each gradient is freed once copied
             if tensor.grad is not tensor.grad_view:
                 np.copyto(tensor.grad_view, tensor.grad)
                 tensor.grad = tensor.grad_view

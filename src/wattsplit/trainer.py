@@ -77,10 +77,6 @@ class TrainReport:
 def _stack_examples(examples: list[WindowedExample], model: DisaggNet):
     cfg = model.config
     s, l = cfg.window.s, cfg.state_count
-    n = len(examples)
-    inputs = np.empty((n, cfg.window.input_length))
-    targets = np.empty((n, s))
-    states = np.empty((n, s, l))
     for i, ex in enumerate(examples):
         if ex.input.shape != (cfg.window.input_length,):
             raise ValueError(
@@ -92,10 +88,9 @@ def _stack_examples(examples: list[WindowedExample], model: DisaggNet):
                 f"example {i}: target shapes {ex.target_power.shape}/"
                 f"{ex.target_states.shape}, expected ({s},)/({s}, {l})"
             )
-        inputs[i] = ex.input
-        targets[i] = ex.target_power
-        states[i] = ex.target_states
-    return inputs, targets, states
+    return (np.stack([ex.input for ex in examples], dtype=np.float64),
+            np.stack([ex.target_power for ex in examples], dtype=np.float64),
+            np.stack([ex.target_states for ex in examples], dtype=np.float64))
 
 
 def train(model: DisaggNet, examples, cfg: TrainConfig,

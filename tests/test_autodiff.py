@@ -1,7 +1,11 @@
 """Autodiff kernel: forward values against oracles, gradients against
 central finite differences, and the tape's lifetime."""
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,22 @@ class TestTape:
         for node in walked:
             assert node._backward is None and node._parents == ()
         assert all(leaf.grad is not None for leaf in leaves)
+
+
+def test_blas_probe_leaves_no_cyclic_garbage():
+    # in a fresh process, where no earlier test has made the probe
+    child = ("import gc\n"
+             "from wattsplit.autodiff import blas_threads\n"
+             "gc.collect()\n"
+             "blas_threads()\n"
+             "print(gc.collect())\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src),
+                                                        os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 class TestConv1d:

@@ -24,7 +24,10 @@ def load_script():
 def test_pairs_alternate_and_the_table_holds_medians_wins_and_iqr(tmp_path, capsys):
     module = load_script()
     parent = tmp_path / "parent"
-    parent.mkdir()
+    (parent / "src" / "wattsplit").mkdir(parents=True)
+    (parent / "src" / "wattsplit" / "a.py").write_text("x = 1\ny = 2\n")
+    (parent / "src" / "wattsplit" / "b.py").write_text("z = 3\n\nw = 4")  # wc -l: 2
+    (parent / "src" / "wattsplit" / "notes.txt").write_text("not counted\n")
     calls = []
 
     def stub(tree, workload, seed, seconds):
@@ -59,6 +62,14 @@ def test_pairs_alternate_and_the_table_holds_medians_wins_and_iqr(tmp_path, caps
     assert lower[2] == "2 of 3"
     assert "train-demo parent: 0 of 15 operations failed, every run correct: True" in out
     assert "train-demo change: 3 of 18 operations failed" in out
+    change = module.source_lines(ROOT)
+    if shutil.which("wc"):
+        sources = sorted((ROOT / "src" / "wattsplit").glob("*.py"))
+        wc = subprocess.run(["wc", "-l", *map(str, sources)], check=True,
+                            capture_output=True, text=True).stdout
+        assert int(wc.splitlines()[-1].split()[0]) == change
+    assert out.splitlines()[-1] == (f"wc -l src/wattsplit/*.py: parent 4, change "
+                                    f"{change:,} ({change - 4:+,})")
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

@@ -1,6 +1,8 @@
 """Training loop and sliding-window inference pipeline."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -235,11 +237,15 @@ class TestTrain:
         with pytest.raises(RuntimeError, match=r"non-finite loss at epoch 1, batch 0"):
             train(tiny_net(), examples, TrainConfig(batch_size=4, shuffle=False))
 
-    def test_bad_example_shapes_are_named(self):
-        bad = [WindowedExample(np.zeros(INPUT_LEN + 1), np.zeros(S),
-                               np.eye(L)[np.zeros(S, dtype=int)])]
-        with pytest.raises(ValueError, match="example 0"):
-            train(tiny_net(), bad, TrainConfig(epochs=1))
+    @pytest.mark.parametrize("index, field, bad", [
+        (0, "input", np.zeros(INPUT_LEN + 1)),
+        (2, "target_states", np.zeros((S, L + 1))),
+    ], ids=["input-at-0", "target-states-at-2"])
+    def test_bad_example_shapes_are_named(self, index, field, bad):
+        examples = make_examples(4)
+        examples[index] = dataclasses.replace(examples[index], **{field: bad})
+        with pytest.raises(ValueError, match=f"example {index}: "):
+            train(tiny_net(), examples, TrainConfig(epochs=1))
 
     def test_report_csv_round_trips(self, tmp_path):
         _, report = train(tiny_net(), make_examples(4), TrainConfig(epochs=3))

@@ -95,6 +95,42 @@ def test_gate_decides_whether_the_worker_runs(monkeypatch):
         assert second == threading.get_ident()
 
 
+FIRST_CALLS = """
+import threading
+from wattsplit import autodiff as ad
+
+def worker_threads():
+    return sum(t.name.startswith("wattsplit") for t in threading.enumerate())
+
+assert worker_threads() == 0  # the import starts no thread
+ad.subnetworks_on_two_threads = lambda: True
+barrier, workers = threading.Barrier(2, timeout=60), []
+
+def call():
+    barrier.wait()
+    workers.append(ad.run_pair(threading.get_ident, lambda: None)[0])
+
+callers = [threading.Thread(target=call) for _ in range(2)]
+for t in callers:
+    t.start()
+for t in callers:
+    t.join(timeout=60)
+    assert not t.is_alive()
+assert len(workers) == 2 and len(set(workers)) == 1, workers
+assert workers[0] not in {t.ident for t in callers}
+print(worker_threads())
+"""
+
+
+def test_two_first_calls_at_once_share_one_worker():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", FIRST_CALLS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
 def test_worker_errors_reach_the_caller(two_threads):
     def fail():
         raise ValueError("from the worker")
