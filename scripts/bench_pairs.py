@@ -15,6 +15,11 @@ and of the change's, the change in percent, the pairs the change won and
 the interquartile range of the parent's runs, as a Markdown table, then
 the operations attempted and failed on each side, and the source lines
 of each side as ``wc -l src/wattsplit/*.py`` counts them.
+
+With ``--json PATH``, each run's result is also written to PATH as it
+finishes, one JSON object per line: the workload, the pair's number, its
+seed and the side, then the run's last output line as ``bench/run.py``
+printed it (its metrics, operations attempted and failed, and checks).
 """
 from __future__ import annotations
 
@@ -99,6 +104,8 @@ def main(argv=None, run=run_bench) -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--workload", action="append",
                         help="run only this workload (repeatable)")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write each run's raw result to PATH, one JSON line per run")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -107,7 +114,8 @@ def main(argv=None, run=run_bench) -> int:
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
 
     rows, tallies = [], []
-    with checkout(args.parent) as parent_tree:
+    raw_file = open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext()
+    with checkout(args.parent) as parent_tree, raw_file as raw:
         for workload in workloads:
             runs = []
             for i in range(args.pairs):
@@ -115,7 +123,13 @@ def main(argv=None, run=run_bench) -> int:
                 sides = [("parent", parent_tree), ("change", ROOT)]
                 if i % 2:
                     sides.reverse()
-                result = {side: run(tree, workload, seed, seconds) for side, tree in sides}
+                result = {}
+                for side, tree in sides:
+                    result[side] = run(tree, workload, seed, seconds)
+                    if raw is not None:
+                        raw.write(json.dumps({"workload": workload, "pair": i + 1, "seed": seed,
+                                              "side": side, **result[side]}) + "\n")
+                        raw.flush()
                 runs.append((result["parent"], result["change"]))
                 print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}) done",
                       file=sys.stderr)

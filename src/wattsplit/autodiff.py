@@ -212,6 +212,11 @@ def run_pair(first, second):
     return first_result, second_result
 
 
+@functools.cache  # kept loaded, as _blas_library is
+def _c_library() -> ctypes.CDLL:
+    return ctypes.CDLL(None)  # the process-wide symbol table
+
+
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
@@ -230,7 +235,7 @@ def keep_freed_memory() -> None:
     C library is not glibc.
     """
     try:
-        libc = ctypes.CDLL(None)
+        libc = _c_library()
     except (OSError, TypeError):  # no process-wide symbol table to search
         return
     if not hasattr(libc, "gnu_get_libc_version"):

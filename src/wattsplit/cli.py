@@ -10,6 +10,7 @@ train and disaggregate also record the environment the run had.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -137,7 +138,7 @@ def _load_series(path, period: int) -> PowerSeries:
 
 def _save_state_indices(path, stamps, indices) -> None:
     """Write ``epoch_seconds,state_index`` rows."""
-    save_columns(path, "%d,%d\n", [stamps, indices])
+    save_columns(path, [stamps, indices])
 
 
 def cmd_synth(args) -> int:
@@ -248,6 +249,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wattsplit",
                                      description="appliance-level energy disaggregation")

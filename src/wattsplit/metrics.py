@@ -123,7 +123,6 @@ def report(results, truths, plain_results, out_dir=None) -> MetricReport:
         for res, truth, plain in zip(results, truths, plain_results):
             _check_aligned(truth, plain.estimate)
             save_columns(os.path.join(out_dir, f"plot_{res.appliance}.csv"),
-                         "%d,%.6f,%.6f,%.6f\n",
                          [truth.timestamps(), truth.values, plain.estimate.values,
                           res.estimate.values], header=PLOT_HEADER)
     return rep

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,8 @@ def load_csv(path, expected_period: int) -> PowerSeries:
     Accepted format: UTF-8 text, with or without a byte-order mark, one
     ``epoch_seconds,watts`` row per line, exactly two comma-separated
     numeric fields (whitespace around a field is ignored; a numeral must be
-    ASCII and without ``_`` separators, as numpy's reader takes it). Blank and whitespace-only lines are skipped.
+    ASCII and without ``_`` separators, as numpy's reader takes it). Blank
+    and whitespace-only lines are skipped.
     Line 1 is a header, and skipped, when its first field is not a number;
     otherwise it is a data row like any other. A negative power, or a row
     that breaks these rules, raises a ``ValueError`` naming its line.
@@ -77,28 +79,22 @@ def load_csv(path, expected_period: int) -> PowerSeries:
     a grid larger than the machine's physical memory is refused before the
     grid is built.
 
+    After the header check, ``np.loadtxt`` iterates the open file itself.
+    It skips empty lines but refuses whitespace-only ones, so when it fails
+    ``_raise_first_bad_row`` rescans the file, and a file without a bad row
+    is read once more with whitespace-only lines filtered out.
+
     Values resample onto the grid ``start + i * expected_period`` by
     forward fill when the enclosing row gap is <= expected_period; grid
     points inside larger holes are missing.
     """
     if expected_period <= 0:
         raise ValueError(f"expected_period must be positive, got {expected_period}")
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        head = fh.readline()
-        rows = itertools.filterfalse(str.isspace, fh)
-        if head.strip() and _is_number(head.split(",")[0]):
-            rows = itertools.chain([head], rows)
-        first = next(rows, None)  # np.loadtxt only warns on no rows
-        if first is None:
-            raise ValueError(f"{path}: no data rows")
-        try:
-            table = np.loadtxt(itertools.chain([first], rows), delimiter=",",
-                               comments=None, ndmin=2)
-            if table.shape[1] != 2 or np.any(table[:, 1] < 0):
-                raise ValueError(f"{path}: a row without two fields or with negative power")
-        except ValueError:
-            _raise_first_bad_row(path)
-            raise  # the rescan found no row to name
+    try:
+        table = _read_table(path, skip_whitespace_lines=False)
+    except ValueError:
+        _raise_first_bad_row(path)
+        table = _read_table(path, skip_whitespace_lines=True)
     ts, vs = table.T
     if not np.all(np.diff(ts) > 0):
         bad = int(np.argmin(np.diff(ts) > 0)) + 1
@@ -113,6 +109,24 @@ def load_csv(path, expected_period: int) -> PowerSeries:
     present = exact | (next_gap <= expected_period)
     values = np.where(present, vs[idx], np.nan)
     return PowerSeries(int(ts[0]), expected_period, values)
+
+
+def _read_table(path, skip_whitespace_lines: bool) -> np.ndarray:
+    """The ``[rows, 2]`` table of ``path`` after its header line, if any."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        head = fh.readline()
+        if head.strip() and _is_number(head.split(",")[0]):
+            fh.seek(0)  # line 1 is data
+        rows = itertools.filterfalse(str.isspace, fh) if skip_whitespace_lines else fh
+        with warnings.catch_warnings():  # an input without rows only warns
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    if len(table) == 0:
+        raise ValueError(f"{path}: no data rows")
+    if table.shape[1] != 2 or np.any(table[:, 1] < 0):
+        raise ValueError(f"{path}: a row without two fields or with negative power")
+    return table
 
 
 def physical_memory() -> int:
@@ -164,26 +178,121 @@ def _raise_first_bad_row(path) -> None:
 def save_csv(series: PowerSeries, path) -> None:
     if series.has_missing():
         raise ValueError("cannot save a series with missing values")
-    save_columns(path, "%d,%.6f\n", [series.timestamps(), series.values])
+    save_columns(path, [series.timestamps(), series.values])
 
 
-def save_columns(path, row_format: str, columns, header: str | None = None) -> None:
-    """Write one ``row_format % row`` line per row of equal-length ``columns``.
+def save_columns(path, columns, header: str | None = None) -> None:
+    """Write one line per row of equal-length ``columns``, comma-separated:
+    an integer column's cells as ``%d``, a float column's as ``%.6f``.
 
-    Rows are formatted ``WRITE_BLOCK_ROWS`` at a time from the columns'
-    ``tolist()`` values, so the bytes are those of formatting each row's
-    Python ints and floats, and temporary memory stays bounded.
+    The bytes are those of ``%`` on each row's Python ints and floats. Rows
+    are formatted in numpy, ``WRITE_BLOCK_ROWS`` at a time, so temporary
+    memory stays bounded: each block is laid out one row per byte position
+    and compressed once. Integers take their digits from a table of 4-digit
+    groups. A ``%.6f`` cell is ``rint(|x| * 1e6)`` split into its integer
+    part and 6 fraction digits, which is Python's correctly rounded result
+    unless ``|x| * 1e6`` is not finite, at least 2**52, or within its own
+    rounding error of a half-integer. Those cells, and negative integers,
+    are formatted by ``%`` and spliced in.
     """
-    width = len(columns)
-    with open(path, "w", encoding="utf-8") as fh:
+    columns = [np.asarray(c) for c in columns]
+    rows = len(columns[0])
+    for c in columns:
+        if c.ndim != 1 or len(c) != rows or c.dtype.kind not in "iuf":
+            raise ValueError("columns must be 1-D integer or float arrays of one length")
+    with open(path, "wb") as fh:
         if header is not None:
-            fh.write(header + "\n")
-        for lo in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
-            block = [c[lo:lo + WRITE_BLOCK_ROWS].tolist() for c in columns]
-            cells = [None] * (width * len(block[0]))
-            for j, col in enumerate(block):
-                cells[j::width] = col
-            fh.write((row_format * len(block[0])) % tuple(cells))
+            fh.write(header.encode("utf-8") + b"\n")
+        for lo in range(0, rows, WRITE_BLOCK_ROWS):
+            fh.write(_format_rows([c[lo:lo + WRITE_BLOCK_ROWS] for c in columns]))
+
+
+# _GROUP_DIGITS[k, g]: the ASCII code of digit k of ``f"{g:04d}"``
+_GROUP_DIGITS = (48 + np.arange(10_000) // np.array([[1000], [100], [10], [1]]) % 10
+                 ).astype(np.uint8)
+
+
+def _digit_rows(values: np.ndarray, width: int) -> np.ndarray:
+    """The ASCII digits of non-negative integers below ``10**width``, zero
+    padded: ``[width, n]``, most significant first; ``width % 4 == 0``."""
+    rows = np.empty((width, len(values)), np.uint8)
+    rest = values
+    for at in range(width - 4, -1, -4):
+        group = rest
+        if at:
+            rest, group = np.divmod(rest, 10_000)
+        for k in range(4):
+            np.take(_GROUP_DIGITS[k], group, out=rows[at + k])
+    return rows
+
+
+def _significant(digits: np.ndarray) -> np.ndarray:
+    """Which of ``_digit_rows``' digits remain once leading zeros go."""
+    keep = digits != ord("0")
+    keep[-1] = True
+    for j in range(1, len(keep)):  # np.logical_or.accumulate along axis 0 is slower
+        np.logical_or(keep[j - 1], keep[j], out=keep[j])
+    return keep
+
+
+def _digit_width(top, least: int) -> int:
+    return max(least, -(-len(str(int(top))) // 4) * 4)
+
+
+def _cells(column: np.ndarray):
+    """``(chars, keep, special)``: one column's cells laid out ``[width, n]``,
+    the bytes each keeps, and the cells that ``%`` must format."""
+    if column.dtype.kind in "iu":
+        special = column < 0
+        magnitude = np.where(special, 0, column) if special.any() else column
+        chars = _digit_rows(magnitude, _digit_width(magnitude.max(), 4))
+        return chars, _significant(chars), special
+    x = column.astype(np.float64, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.abs(x) * 1e6
+    special = ~(y < 2.0 ** 52)  # also inf and nan
+    if special.any():
+        y[special] = 0.0
+    special |= np.abs(y - np.floor(y) - 0.5) <= y * 2.0 ** -50
+    q = np.rint(y).astype(np.int64)
+    digits = _digit_rows(q, _digit_width(q.max(), 8))
+    point = len(digits) - 6
+    chars = np.empty((len(digits) + 2, len(x)), np.uint8)  # sign, digits, ".", 6 digits
+    chars[0], chars[point + 1] = ord("-"), ord(".")
+    chars[1:point + 1], chars[point + 2:] = digits[:point], digits[point:]
+    keep = np.ones(chars.shape, bool)
+    keep[0] = np.signbit(x)
+    keep[1:point + 1] = _significant(digits[:point])
+    return chars, keep, special
+
+
+def _format_rows(columns) -> bytes:
+    """The bytes of ``save_columns``' lines for one block of rows."""
+    n = len(columns[0])
+    chars, keep, starts, specials = [], [], [], []
+    at = 0
+    for j, column in enumerate(columns):
+        c, k, special = _cells(column)
+        k[:, special] = False
+        starts.append(at)
+        specials.append(special)
+        at += len(c) + 1
+        chars += [c, np.full((1, n), ord("\n" if j == len(columns) - 1 else ","), np.uint8)]
+        keep += [k, np.ones((1, n), bool)]
+    chars, keep = np.concatenate(chars), np.concatenate(keep)
+    data = chars.T[keep.T].tobytes()
+    rows, cols = np.nonzero(np.stack(specials, axis=1))  # in the order they are written
+    if len(rows) == 0:
+        return data
+    before = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=0))))
+    parts, done = [], 0
+    for r, j in zip(rows.tolist(), cols.tolist()):
+        at = int(before[r] + np.count_nonzero(keep[:starts[j], r]))
+        fmt = "%d" if columns[j].dtype.kind in "iu" else "%.6f"
+        parts += [data[done:at], (fmt % columns[j][r].item()).encode()]
+        done = at
+    parts.append(data[done:])
+    return b"".join(parts)
 
 
 def fill_gaps(series: PowerSeries) -> PowerSeries:

@@ -101,12 +101,13 @@ class TestTape:
         assert all(leaf.grad is not None for leaf in leaves)
 
 
-def test_blas_probe_leaves_no_cyclic_garbage():
-    # in a fresh process, where no earlier test has made the probe
+def cyclic_garbage_after(calls: str) -> str:
+    """What ``gc.collect()`` returns after ``calls`` in a fresh process,
+    where no earlier test has loaded a library."""
     child = ("import gc\n"
-             "from wattsplit.autodiff import blas_threads\n"
+             "from wattsplit.autodiff import blas_threads, keep_freed_memory\n"
              "gc.collect()\n"
-             "blas_threads()\n"
+             f"{calls}\n"
              "print(gc.collect())\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src),
@@ -114,7 +115,16 @@ def test_blas_probe_leaves_no_cyclic_garbage():
     proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"
+    return proc.stdout.strip()
+
+
+def test_blas_probe_leaves_no_cyclic_garbage():
+    assert cyclic_garbage_after("blas_threads()") == "0"
+
+
+def test_keep_freed_memory_leaves_no_cyclic_garbage():
+    # every cli.main call makes it
+    assert cyclic_garbage_after("keep_freed_memory()\nkeep_freed_memory()") == "0"
 
 
 class TestConv1d:

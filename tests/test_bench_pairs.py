@@ -43,13 +43,23 @@ def test_pairs_alternate_and_the_table_holds_medians_wins_and_iqr(tmp_path, caps
             metrics[m["name"]] = {"value": base + side * sign * step, "unit": m["unit"]}
         return {"correct": True, "attempted": 5 + side, "failed": side, "metrics": metrics}
 
+    raw = tmp_path / "raw.jsonl"
     assert module.main([str(parent), "--pairs", "3", "--seconds", "0", "--seed", "7",
-                        "--workload", "train-demo"], run=stub) == 0
+                        "--workload", "train-demo", "--json", str(raw)], run=stub) == 0
     # the same seed on both sides, and the side that runs first alternates
     assert [(c[0] == parent, c[2]) for c in calls] == [
         (True, 7), (False, 7), (False, 8), (True, 8), (True, 9), (False, 9)]
     assert all(c[1] == "train-demo" and c[3] == 0 for c in calls)
     assert calls[1][0] == ROOT
+    # --json: one line per run, in run order, holding the stub's whole result
+    lines = [json.loads(line) for line in raw.read_text().splitlines()]
+    assert [(r["pair"], r["seed"], r["side"]) for r in lines] == [
+        (1, 7, "parent"), (1, 7, "change"), (2, 8, "change"), (2, 8, "parent"),
+        (3, 9, "parent"), (3, 9, "change")]
+    for r, (tree, workload, seed, seconds) in zip(lines, list(calls)):
+        assert r["workload"] == workload
+        assert r == {"workload": workload, "pair": r["pair"], "seed": seed, "side": r["side"],
+                     **stub(tree, workload, seed, seconds)}
     out = capsys.readouterr().out
     rows = {line.split("|")[2].strip(" `"): [cell.strip() for cell in line.split("|")[3:7]]
             for line in out.splitlines() if line.startswith("| `train-demo`")}

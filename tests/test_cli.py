@@ -520,6 +520,20 @@ class TestReadme:
 
 
 class TestParser:
+    def test_one_parser_parses_each_call_afresh(self, tmp_path):
+        from wattsplit.cli import build_parser
+        assert build_parser() is build_parser()
+        scenario_path = tmp_path / "sc.json"
+        write_scenario(small_scenario(seed=3), scenario_path)
+        seeded, unseeded = tmp_path / "seeded", tmp_path / "unseeded"
+        assert main(["synth", "--scenario", str(scenario_path), "--seed", "5",
+                     "--out", str(seeded)]) == 0
+        assert main(["synth", "--scenario", str(scenario_path),
+                     "--out", str(unseeded)]) == 0
+        # the second call saw no --seed, so the scenario's own seed held
+        assert json.loads((seeded / "effective_config.json").read_text())["seed"] == 5
+        assert json.loads((unseeded / "effective_config.json").read_text())["seed"] == 3
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,4 +1,6 @@
 """Series container, CSV grid resampling, gap filling, normalization."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from wattsplit import series as series_module
 from wattsplit.cli import _save_state_indices
 from wattsplit.series import (PowerSeries, denormalize, fill_gaps, load_csv,
-                              normalize, save_csv)
+                              normalize, save_columns, save_csv)
 
 
 def write_rows(tmp_path, rows, name="series.csv"):
@@ -136,6 +138,32 @@ class TestLoadCsv:
         path.write_text("timestamp,watts\n\n  \n")
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(path, 6)
+
+    @pytest.mark.parametrize("text", ["", "timestamp,watts\n", "\n\n"])
+    def test_empty_input_raises_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_csv(path, 6)
+
+    def test_whitespace_only_line_loads_through_the_rescan(self, tmp_path, monkeypatch):
+        rows = [(6 * i, 0.5 * i) for i in range(10)]
+        plain = write_rows(tmp_path, rows, "plain.csv")
+        spaced = tmp_path / "spaced.csv"
+        text = plain.read_text().splitlines(keepends=True)
+        spaced.write_text("".join(text[:5] + [" \t \n"] + text[5:]))
+        rescans = []
+        rescan = series_module._raise_first_bad_row
+        monkeypatch.setattr(series_module, "_raise_first_bad_row",
+                            lambda path: rescans.append(path) or rescan(path))
+        want = load_csv(plain, 6)
+        assert rescans == []
+        got = load_csv(spaced, 6)
+        assert rescans == [spaced]
+        assert got.start_time == want.start_time
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_grid_larger_than_memory_refused(self, tmp_path):
         path = write_rows(tmp_path, [(0, 1.0), (10**15, 2.0)])
@@ -300,6 +328,66 @@ class TestColumnWriter:
     def test_empty_series_writes_empty_file(self, tmp_path):
         save_csv(PowerSeries(0, 6, np.zeros(0)), tmp_path / "e.csv")
         assert (tmp_path / "e.csv").read_bytes() == b""
+
+
+def per_row(columns) -> bytes:
+    """``%d``/``%.6f`` formatting row by row: the bytes ``save_columns`` writes."""
+    formats = ["%d" if np.asarray(c).dtype.kind in "iu" else "%.6f" for c in columns]
+    cells = zip(*[np.asarray(c).tolist() for c in columns])
+    return "".join(",".join(f % v for f, v in zip(formats, row)) + "\n"
+                   for row in cells).encode()
+
+
+BLOCK_ROWS = pytest.mark.parametrize("block_rows", [1, 5, 32_768])
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1 / 128, -1e-9,
+               2.0 ** 52 / 1e6, np.nextafter(2.0 ** 52 / 1e6, 0), 1e10, 1e300,
+               -1e300, 1.7976931348623157e308, np.inf, -np.inf, np.nan, -np.nan]
+
+
+class TestVectorizedWriter:
+    """``save_columns`` formats in numpy; these compare it with ``%`` per row."""
+
+    def write(self, tmp_path, monkeypatch, block_rows, columns):
+        monkeypatch.setattr(series_module, "WRITE_BLOCK_ROWS", block_rows)
+        save_columns(tmp_path / "c.csv", columns)
+        return (tmp_path / "c.csv").read_bytes()
+
+    @BLOCK_ROWS
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=40),
+           edges=st.lists(st.sampled_from(FLOAT_EDGES), max_size=6))
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_float64_bit_pattern(self, tmp_path, monkeypatch, block_rows, bits, edges):
+        """Subnormals, -0.0, values at and above 2**52 / 1e6, inf and nan."""
+        values = np.concatenate([np.array(bits, dtype=np.uint64).view(np.float64),
+                                 np.array(edges, dtype=np.float64)])
+        columns = [np.arange(len(values)), values]
+        assert self.write(tmp_path, monkeypatch, block_rows, columns) == per_row(columns)
+
+    @BLOCK_ROWS
+    def test_half_integers_and_their_neighbours(self, tmp_path, monkeypatch, block_rows):
+        k = np.concatenate([np.arange(2_000),
+                            np.random.default_rng(0).integers(0, 2 ** 40, 2_000)])
+        half = (k + 0.5) / 1e6
+        columns = [k, half, np.nextafter(half, np.inf), np.nextafter(half, -np.inf)]
+        assert self.write(tmp_path, monkeypatch, block_rows, columns) == per_row(columns)
+
+    @BLOCK_ROWS
+    def test_integers_across_digit_counts(self, tmp_path, monkeypatch, block_rows):
+        edges = [0, 9, 10, 99, 100, 9_999, 10_000, 99_999_999, 100_000_000, 10 ** 18,
+                 2 ** 63 - 1, -1, -9_999, -10_000, -10 ** 18, -2 ** 63]
+        ints = np.array(edges, dtype=np.int64)
+        columns = [ints, ints[::-1].copy(), np.full(len(ints), 7, dtype=np.uint8)]
+        assert self.write(tmp_path, monkeypatch, block_rows, columns) == per_row(columns)
+        wide = [np.array([0, 10 ** 19, 2 ** 64 - 1], dtype=np.uint64), np.zeros(3)]
+        assert self.write(tmp_path, monkeypatch, block_rows, wide) == per_row(wide)
+
+    def test_header_and_columns_checked(self, tmp_path):
+        save_columns(tmp_path / "h.csv", [np.arange(2), np.array([0.5, 1.5])], header="t,w")
+        assert (tmp_path / "h.csv").read_bytes() == b"t,w\n0,0.500000\n1,1.500000\n"
+        for columns in ([np.arange(2), np.zeros(3)], [np.arange(2), np.array(["a", "b"])],
+                        [np.zeros((2, 2))]):
+            with pytest.raises(ValueError, match="columns"):
+                save_columns(tmp_path / "bad.csv", columns)
 
 
 class TestFillGaps:
