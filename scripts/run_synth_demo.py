@@ -74,12 +74,9 @@ def main(argv=None) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for app in outcome.appliances:
-            best = args.variants[-1]
-            results = [app.results[best]]
-            plains = [app.results.get("plain", app.results[best])]
-            report(results, [app.truth],
-                   out_dir=os.path.join(args.out, app.name),
-                   plain_results=plains)
+            best = app.results[args.variants[-1]]
+            report(best, app.truth, app.results.get("plain", best),
+                   os.path.join(args.out, app.name))
             for mode, net in app.models.items():
                 save_checkpoint(net, os.path.join(args.out, app.name,
                                                   f"{mode}.ddnn"))

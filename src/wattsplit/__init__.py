@@ -13,7 +13,7 @@ from .model import ConvLayerSpec, DisaggNet, ForwardOutput, NetConfig, combine, 
 from .optim import Adam, Parameter
 from .postprocess import (FilterConfig, combine_hard, hard_gate, median_filter,
                           reconcile_overlaps)
-from .series import PowerSeries, denormalize, fill_gaps, load_csv, normalize, save_csv
+from .series import PowerSeries, fill_gaps, load_csv, save_csv
 from .states import ApplianceStateModel, cluster_states, label_states
 from .synth import ApplianceSpec, SyntheticScenario, demo_scenario, generate
 from .trainer import (DisaggregationResult, TrainConfig, TrainReport, disaggregate,

@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .model import DisaggNet, NetConfig
+from .model import DisaggNet, NetConfig, conv_stack_lists
 from .windows import WindowConfig
 
 __all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
@@ -36,8 +36,7 @@ def _config_entries(model: DisaggNet) -> list[tuple[str, str]]:
         ("s", str(cfg.window.s)),
         ("w", str(cfg.window.w)),
         ("state_count", str(cfg.state_count)),
-        ("conv_stack", json.dumps([[c.filters, c.kernel, c.stride]
-                                   for c in cfg.conv_stack])),
+        ("conv_stack", json.dumps(conv_stack_lists(cfg.conv_stack))),
         ("hidden", str(cfg.hidden)),
         ("tau", repr(cfg.tau)),
         ("seed", str(cfg.seed)),

@@ -20,18 +20,18 @@ import numpy as np
 
 from .autodiff import blas_threads, keep_freed_memory, subnetworks_on_two_threads
 from .checkpoint import load_checkpoint, save_checkpoint
-from .metrics import ApplianceMetrics, MetricReport, evaluate_pair
-from .model import DEFAULT_CONV_STACK, DisaggNet, NetConfig
+from .metrics import MetricReport, evaluate_pair
+from .model import DEFAULT_CONV_STACK, DisaggNet, NetConfig, conv_stack_lists
 from .postprocess import FilterConfig
 from .presets import GRID_PERIOD_S, window_for
 from .series import PowerSeries, fill_gaps, load_csv, save_columns, save_csv
 from .states import check_value, cluster_states, load_state_model, save_state_model
 from .synth import generate, load_scenario
-from .trainer import TrainConfig, disaggregate, train
+from .trainer import VARIANTS, TrainConfig, disaggregate, train
 from .windows import WindowConfig, make_windows
 
-VARIANT_FLAGS = {"plain": "plain", "median": "median", "hard": "hard",
-                 "hard-median": "hard_median"}
+# --variant spells a variant with "-" where trainer.VARIANTS has "_"
+VARIANT_CHOICES = [v.replace("_", "-") for v in VARIANTS]
 
 # train defaults to the 6 s (ukdale) grid and the paper-size net
 TRAIN_DEFAULTS = {
@@ -47,7 +47,7 @@ TRAIN_DEFAULTS = {
     "seed": TrainConfig.seed,
     "shuffle": TrainConfig.shuffle,
     "hidden": NetConfig.hidden,
-    "conv_stack": [[c.filters, c.kernel, c.stride] for c in DEFAULT_CONV_STACK],
+    "conv_stack": conv_stack_lists(DEFAULT_CONV_STACK),
     "tau": NetConfig.tau,
     "mains": None,
     "appliance": None,
@@ -177,7 +177,6 @@ def cmd_train(args) -> int:
         if st[required] is None:
             raise ValueError(f"train: --{required.replace('_', '-')} is required "
                              "(flag or config file)")
-    variant = VARIANT_FLAGS.get(st["variant"], st["variant"])
     state_model = load_state_model(st["state_model"])
     window = WindowConfig(st["window_s"], st["window_w"])
     net = DisaggNet(NetConfig(  # built and checked before the series are read
@@ -189,7 +188,7 @@ def cmd_train(args) -> int:
         seed=st["seed"],
     ))
     # echo the canonical form so the echo file can be reused as a --config
-    st["conv_stack"] = [[c.filters, c.kernel, c.stride] for c in net.config.conv_stack]
+    st["conv_stack"] = conv_stack_lists(net.config.conv_stack)
     net.dataset_tag = os.path.basename(str(st["mains"]))
     mains = _load_series(st["mains"], st["period"])
     appliance = _load_series(st["appliance"], st["period"])
@@ -197,11 +196,10 @@ def cmd_train(args) -> int:
                             stride=st["stride"])
     cfg = TrainConfig(batch_size=st["batch_size"], learning_rate=st["learning_rate"],
                       epochs=st["epochs"], lambda_power=st["lambda_power"],
-                      variant=variant, seed=st["seed"], shuffle=st["shuffle"])
-    centroid_targets = None
-    if cfg.lambda_power > 0:
-        centroid_targets = (state_model.centroids - state_model.norm_mean) / state_model.norm_std
-    net, rep = train(net, examples, cfg, centroid_targets=centroid_targets)
+                      variant=st["variant"].replace("-", "_"), seed=st["seed"],
+                      shuffle=st["shuffle"])
+    net, rep = train(net, examples, cfg,
+                     centroid_targets=state_model.normalize(state_model.centroids))
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.ddnn")
     save_checkpoint(net, ckpt)
@@ -217,9 +215,8 @@ def cmd_disaggregate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     state_model = load_state_model(args.state_model)
     mains = _load_series(args.mains, args.period)
-    variant = VARIANT_FLAGS[args.variant]
     filter_cfg = FilterConfig(median_window=args.median_window)
-    result = disaggregate(model, mains, state_model, variant=variant,
+    result = disaggregate(model, mains, state_model, variant=args.variant.replace("-", "_"),
                           stride=args.stride, filter_cfg=filter_cfg)
     os.makedirs(args.out, exist_ok=True)
     save_csv(result.estimate, os.path.join(args.out, "estimate.csv"))
@@ -288,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, dest="learning_rate")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lambda-power", type=float, dest="lambda_power")
-    p.add_argument("--variant", choices=sorted(VARIANT_FLAGS))
+    p.add_argument("--variant", choices=VARIANT_CHOICES)
     p.add_argument("--hidden", type=int)
     p.add_argument("--conv-stack", dest="conv_stack",
                    help='e.g. "16x9,16x7,24x5" (filters x kernel[@stride])')
@@ -299,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mains", required=True)
     p.add_argument("--state-model", required=True, dest="state_model")
-    p.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="plain")
+    p.add_argument("--variant", choices=VARIANT_CHOICES, default="plain")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--stride", type=int)
     p.add_argument("--median-window", type=int, default=FilterConfig.median_window,

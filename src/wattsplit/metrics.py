@@ -1,11 +1,12 @@
 """Evaluation metrics and report files."""
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PowerSeries, save_columns
+from .series import PowerSeries, check_aligned, save_columns
 
 __all__ = ["mae", "sae", "energy_total", "ApplianceMetrics", "MetricReport",
            "evaluate_pair", "report", "PLOT_HEADER", "METRIC_HEADER"]
@@ -34,8 +35,7 @@ def sae(r_true: float, r_est: float) -> float:
 
 def energy_total(series: PowerSeries) -> float:
     """Energy in watt-seconds: sum of power times the sample period."""
-    if series.has_missing():
-        raise ValueError("cannot total a series with missing values")
+    series.require_filled("series")
     return float(np.sum(series.values) * series.period)
 
 
@@ -73,21 +73,9 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def _check_aligned(truth: PowerSeries, estimate: PowerSeries) -> None:
-    if (truth.start_time != estimate.start_time
-            or truth.period != estimate.period
-            or len(truth) != len(estimate)):
-        raise ValueError(
-            "truth and estimate are misaligned: "
-            f"start {truth.start_time} vs {estimate.start_time}, "
-            f"period {truth.period} vs {estimate.period}, "
-            f"length {len(truth)} vs {len(estimate)}"
-        )
-
-
 def evaluate_pair(appliance: str, truth: PowerSeries,
                   estimate: PowerSeries) -> ApplianceMetrics:
-    _check_aligned(truth, estimate)
+    check_aligned(truth, estimate, ("truth", "estimate"))
     r_true = energy_total(truth)
     r_est = energy_total(estimate)
     return ApplianceMetrics(
@@ -100,29 +88,15 @@ def evaluate_pair(appliance: str, truth: PowerSeries,
     )
 
 
-def report(results, truths, plain_results, out_dir=None) -> MetricReport:
-    """Metric rows for each (result, truth) pair; optional plot files.
-
-    When ``out_dir`` is given, writes metrics.csv plus one
-    plot_<appliance>.csv per appliance with columns t,truth,plain,variant,
-    whose plain column is the estimate of the matching ``plain_results``
-    entry.
-    """
-    import os
-
-    if len(results) != len(truths):
-        raise ValueError(f"{len(results)} results vs {len(truths)} truth series")
-    if len(plain_results) != len(results):
-        raise ValueError("plain_results length does not match results")
-    rows = [evaluate_pair(res.appliance, truth, res.estimate)
-            for res, truth in zip(results, truths)]
-    rep = MetricReport(rows)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        rep.to_csv(os.path.join(out_dir, "metrics.csv"))
-        for res, truth, plain in zip(results, truths, plain_results):
-            _check_aligned(truth, plain.estimate)
-            save_columns(os.path.join(out_dir, f"plot_{res.appliance}.csv"),
-                         [truth.timestamps(), truth.values, plain.estimate.values,
-                          res.estimate.values], header=PLOT_HEADER)
+def report(result, truth: PowerSeries, plain_result, out_dir) -> MetricReport:
+    """One appliance's metric row, written to ``out_dir`` as metrics.csv,
+    plus plot_<appliance>.csv with columns t,truth,plain,variant, whose
+    plain column is the estimate of ``plain_result``."""
+    rep = MetricReport([evaluate_pair(result.appliance, truth, result.estimate)])
+    check_aligned(truth, plain_result.estimate, ("truth", "plain estimate"))
+    os.makedirs(out_dir, exist_ok=True)
+    rep.to_csv(os.path.join(out_dir, "metrics.csv"))
+    save_columns(os.path.join(out_dir, f"plot_{result.appliance}.csv"),
+                 [truth.timestamps(), truth.values, plain_result.estimate.values,
+                  result.estimate.values], header=PLOT_HEADER)
     return rep

@@ -26,6 +26,7 @@ __all__ = [
     "ConvLayerSpec",
     "NetConfig",
     "DEFAULT_CONV_STACK",
+    "conv_stack_lists",
     "DisaggNet",
     "ForwardPass",
     "ForwardOutput",
@@ -59,6 +60,12 @@ DEFAULT_CONV_STACK = (
     ConvLayerSpec(50, 5),
     ConvLayerSpec(50, 5),
 )
+
+
+def conv_stack_lists(conv_stack) -> list[list[int]]:
+    """``[[filters, kernel, stride], ...]``: a conv stack as configs,
+    checkpoints and messages spell it."""
+    return [[c.filters, c.kernel, c.stride] for c in conv_stack]
 
 
 @dataclass(frozen=True)
@@ -205,8 +212,7 @@ class DisaggNet:
         s, l = config.window.s, config.state_count
         count = config.parameter_count()
         check_memory(8 * count, f"a net of window_s {s}, window_w {config.window.w}, "
-                     f"{l} states, conv_stack "
-                     f"{[[c.filters, c.kernel, c.stride] for c in config.conv_stack]} "
+                     f"{l} states, conv_stack {conv_stack_lists(config.conv_stack)} "
                      f"and hidden {config.hidden} has {count} parameter values")
         self.config = config
         rng = np.random.default_rng(config.seed)
@@ -311,7 +317,7 @@ def total_loss(fwd: ForwardPass, target_power, target_states,
     target_states) (+ lambda_power * loss_power).
 
     Returns (total, output_term, state_term). The power term only enters
-    when lambda_power > 0, which requires centroid_targets.
+    when lambda_power > 0; only then are centroid_targets read, and needed.
     """
     out_term = ad.mse_loss(fwd.combined, target_power)
     state_term = ad.cross_entropy_loss(fwd.state_probs, target_states)

@@ -158,14 +158,14 @@ def reconcile_overlaps(sums, starts, values) -> None:
             np.add.at(flat[:, j], pos, columns[:, j])
 
 
-def window_cover(starts, lengths, total: int) -> np.ndarray:
+def window_cover(starts, length: int, total: int) -> np.ndarray:
     """How many windows cover each position of ``[0, total)``: the window
-    at ``starts[k]`` covers ``lengths[k]`` positions (``lengths`` may be
-    one number for all). A merge's per-position mean divides its sums by
-    this, so every position must be covered.
+    at each of ``starts`` covers ``length`` positions. A merge's
+    per-position mean divides its sums by this, so every position must be
+    covered.
     """
     starts = np.asarray(starts, dtype=np.intp)
-    ends = starts + np.broadcast_to(np.asarray(lengths, dtype=np.intp), starts.shape)
+    ends = starts + length
     if np.any(starts < 0) or np.any(ends > total):
         raise ValueError(f"windows must lie within [0, {total})")
     cover = np.cumsum(np.bincount(starts, minlength=total + 1)

@@ -1,12 +1,12 @@
-"""Uniform-grid power series: CSV I/O, gap filling, normalization.
+"""Uniform-grid power series: CSV I/O, gap filling, series checks.
 
 A series holds float64 watt readings on a fixed grid (``start_time`` epoch
 seconds, positive integer ``period``). Missing readings are NaN until
-``fill_gaps`` resolves them; downstream code requires fully filled series.
+``fill_gaps`` resolves them; downstream code requires fully filled series
+(``PowerSeries.require_filled``) that share one grid (``check_aligned``).
 """
 from __future__ import annotations
 
-import itertools
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -19,8 +19,7 @@ __all__ = [
     "save_csv",
     "save_columns",
     "fill_gaps",
-    "normalize",
-    "denormalize",
+    "check_aligned",
     "check_memory",
     "SHORT_GAP_LIMIT_S",
 ]
@@ -53,8 +52,11 @@ class PowerSeries:
     def timestamps(self) -> np.ndarray:
         return self.start_time + self.period * np.arange(len(self.values))
 
-    def has_missing(self) -> bool:
-        return bool(np.any(np.isnan(self.values)))
+    def require_filled(self, what: str) -> None:
+        """Raise unless every reading is present: a ValueError that names
+        the series as ``what``."""
+        if np.isnan(self.values).any():
+            raise ValueError(f"{what} has missing values; run fill_gaps first")
 
     def slice(self, start: int, stop: int) -> "PowerSeries":
         """Sub-series over sample indices [start, stop)."""
@@ -81,8 +83,8 @@ def load_csv(path, expected_period: int) -> PowerSeries:
 
     After the header check, ``np.loadtxt`` iterates the open file itself.
     It skips empty lines but refuses whitespace-only ones, so when it fails
-    ``_raise_first_bad_row`` rescans the file, and a file without a bad row
-    is read once more with whitespace-only lines filtered out.
+    ``_read_rows`` reads the file again line by line: it raises for the
+    first bad line, or returns the rows.
 
     Values resample onto the grid ``start + i * expected_period`` by
     forward fill when the enclosing row gap is <= expected_period; grid
@@ -91,10 +93,11 @@ def load_csv(path, expected_period: int) -> PowerSeries:
     if expected_period <= 0:
         raise ValueError(f"expected_period must be positive, got {expected_period}")
     try:
-        table = _read_table(path, skip_whitespace_lines=False)
+        table = _read_table(path)
     except ValueError:
-        _raise_first_bad_row(path)
-        table = _read_table(path, skip_whitespace_lines=True)
+        table = _read_rows(path)
+    if len(table) == 0:
+        raise ValueError(f"{path}: no data rows")
     ts, vs = table.T
     if not np.all(np.diff(ts) > 0):
         bad = int(np.argmin(np.diff(ts) > 0)) + 1
@@ -111,20 +114,18 @@ def load_csv(path, expected_period: int) -> PowerSeries:
     return PowerSeries(int(ts[0]), expected_period, values)
 
 
-def _read_table(path, skip_whitespace_lines: bool) -> np.ndarray:
-    """The ``[rows, 2]`` table of ``path`` after its header line, if any."""
+def _read_table(path) -> np.ndarray:
+    """The ``[rows, 2]`` table of ``path`` after its header line, if any,
+    as numpy's reader takes it (``[0, 1]`` for a file without rows)."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         head = fh.readline()
         if head.strip() and _is_number(head.split(",")[0]):
             fh.seek(0)  # line 1 is data
-        rows = itertools.filterfalse(str.isspace, fh) if skip_whitespace_lines else fh
         with warnings.catch_warnings():  # an input without rows only warns
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
-            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    if len(table) == 0:
-        raise ValueError(f"{path}: no data rows")
-    if table.shape[1] != 2 or np.any(table[:, 1] < 0):
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if len(table) and (table.shape[1] != 2 or np.any(table[:, 1] < 0)):
         raise ValueError(f"{path}: a row without two fields or with negative power")
     return table
 
@@ -153,15 +154,22 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _raise_first_bad_row(path) -> None:
-    """Rescan ``path`` row by row and raise for its first bad line, if any.
+def _read_rows(path) -> np.ndarray:
+    """The ``[rows, 2]`` table of ``path``, read line by line, or a
+    ValueError that names its first bad line: ``load_csv``'s reader when
+    numpy's refuses the file. It skips whitespace-only lines too.
 
-    The error path of ``load_csv``: a field counts as numeric when numpy's
-    reader would take it, which is ``float()`` less underscores and
-    non-ASCII digits.
+    A field counts as numeric when numpy's reader would take it, which is
+    ``float()`` less underscores and non-ASCII digits. Bytes that are not
+    UTF-8 decode to lone surrogates, so the line that holds them is named.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    rows = []
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}: line {lineno} is not UTF-8 text") from None
             line = raw.strip()
             if not line:
                 continue
@@ -171,13 +179,24 @@ def _raise_first_bad_row(path) -> None:
             if len(parts) != 2 or not all(
                     p.strip().isascii() and "_" not in p and _is_number(p) for p in parts):
                 raise ValueError(f"{path}: unparseable row at line {lineno}: {line!r}")
-            if float(parts[1]) < 0:
+            row = [float(p) for p in parts]
+            if row[1] < 0:
                 raise ValueError(f"{path}: negative power at line {lineno}: {line!r}")
+            rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+
+def check_aligned(a: PowerSeries, b: PowerSeries, names) -> None:
+    """Raise unless ``a`` and ``b`` share one grid (start, period and
+    length): a ValueError that calls them by the two ``names``."""
+    if (a.start_time, a.period, len(a)) != (b.start_time, b.period, len(b)):
+        raise ValueError(f"{names[0]} and {names[1]} are misaligned: start {a.start_time} "
+                         f"vs {b.start_time}, period {a.period} vs {b.period}, "
+                         f"length {len(a)} vs {len(b)}")
 
 
 def save_csv(series: PowerSeries, path) -> None:
-    if series.has_missing():
-        raise ValueError("cannot save a series with missing values")
+    series.require_filled("series")
     save_columns(path, [series.timestamps(), series.values])
 
 
@@ -318,20 +337,3 @@ def fill_gaps(series: PowerSeries) -> PowerSeries:
         else:
             vals[lo:hi] = 0.0
     return PowerSeries(series.start_time, series.period, vals)
-
-
-def _values_of(x) -> np.ndarray:
-    return x.values if isinstance(x, PowerSeries) else np.asarray(x, dtype=np.float64)
-
-
-def normalize(values, mean: float, std: float) -> np.ndarray:
-    """(v - mean) / std. Accepts a PowerSeries or an array."""
-    if std <= 0:
-        raise ValueError(f"std must be > 0, got {std}")
-    return (_values_of(values) - mean) / std
-
-
-def denormalize(values, mean: float, std: float) -> np.ndarray:
-    if std <= 0:
-        raise ValueError(f"std must be > 0, got {std}")
-    return _values_of(values) * std + mean

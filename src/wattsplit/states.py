@@ -2,13 +2,15 @@
 
 An appliance with l states has one OFF state (rating fixed at 0 W) and
 l - 1 ON states whose ratings come from 1-D k-means over the readings
-above the ON threshold. Normalization statistics travel with the model.
+above the ON threshold. Normalization statistics travel with the model,
+which normalizes the watts both subnetworks read and denormalizes their
+output.
 """
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +54,14 @@ class ApplianceStateModel:
     @property
     def state_count(self) -> int:
         return len(self.centroids)
+
+    def normalize(self, watts) -> np.ndarray:
+        """``(watts - norm_mean) / norm_std``."""
+        return (np.asarray(watts, dtype=np.float64) - self.norm_mean) / self.norm_std
+
+    def denormalize(self, values) -> np.ndarray:
+        """Watts from normalized ``values``: ``values * norm_std + norm_mean``."""
+        return np.asarray(values, dtype=np.float64) * self.norm_std + self.norm_mean
 
 
 def _kmeans_1d(points: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -99,9 +109,8 @@ def cluster_states(series: PowerSeries, state_count: int,
     state_count - 1 ON ratings; the OFF rating is fixed at 0 W.
     Normalization statistics are the full-series mean and population std.
     """
+    series.require_filled("series")
     values = series.values
-    if np.any(np.isnan(values)):
-        raise ValueError("series has missing values; run fill_gaps first")
     if state_count < 2:
         raise ValueError(f"state_count must be >= 2, got {state_count}")
     on_values = values[values > on_threshold]
@@ -128,9 +137,8 @@ def cluster_states(series: PowerSeries, state_count: int,
 def label_states(series: PowerSeries, model: ApplianceStateModel) -> np.ndarray:
     """One-hot state labels [T, l]: nearest centroid, ties to the lower
     index, readings at or below the ON threshold forced to OFF."""
+    series.require_filled("series")
     v = series.values
-    if np.any(np.isnan(v)):
-        raise ValueError("values have missing entries; run fill_gaps first")
     idx = np.argmin(np.abs(v[:, None] - model.centroids[None, :]), axis=1)
     idx[v <= model.on_threshold] = 0
     return np.eye(model.state_count, dtype=np.float64)[idx]

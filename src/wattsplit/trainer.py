@@ -10,7 +10,7 @@ from . import autodiff as ad
 from .model import DisaggNet, combine, head_pass, total_loss
 from .postprocess import (FilterConfig, combine_hard, hard_gate, median_filter,
                           reconcile_overlaps, sample_gumbel, window_cover)
-from .series import PowerSeries, denormalize, normalize
+from .series import PowerSeries
 from .states import ApplianceStateModel
 from .windows import WindowConfig, WindowedExample, input_window, shared_rows
 
@@ -117,8 +117,6 @@ def train(model: DisaggNet, examples, cfg: TrainConfig,
     """
     from .optim import Adam
 
-    if cfg.lambda_power > 0 and centroid_targets is None:
-        raise ValueError("lambda_power > 0 requires centroid_targets")
     examples = list(examples)
     started = time.perf_counter()
     report = TrainReport()
@@ -234,8 +232,7 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if mains.has_missing():
-        raise ValueError("mains has missing values; run fill_gaps first")
+    mains.require_filled("mains")
     cfg = model.config
     s, l = cfg.window.s, cfg.state_count
     total = len(mains)
@@ -250,8 +247,8 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
     if starts[-1] != total - s:
         starts = np.append(starts, total - s)  # cover the tail
     cover = window_cover(starts, s, total)  # windows over each position
-    norm = normalize(mains, state_model.norm_mean, state_model.norm_std)
-    pad = normalize(np.zeros(1), state_model.norm_mean, state_model.norm_std)[0]
+    norm = state_model.normalize(mains.values)
+    pad = state_model.normalize(0.0)
     filtered = variant in ("median", "hard_median")
     power = np.zeros(total)
     # plain sums its soft rows; the other variants count state votes
@@ -273,8 +270,7 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
             values = combine_hard(fwd.ratings.values, states)
         reconcile_overlaps(power, chunk, values)
         reconcile_overlaps(state_sums, chunk, states)
-    estimate = np.maximum(
-        denormalize(power / cover, state_model.norm_mean, state_model.norm_std), 0.0)
+    estimate = np.maximum(state_model.denormalize(power / cover), 0.0)
     if variant == "plain":
         states = state_sums / cover[:, None]
     else:

@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .series import PowerSeries, normalize
+from .series import PowerSeries, check_aligned
 from .states import ApplianceStateModel, label_states
 
 __all__ = ["WindowConfig", "WindowedExample", "make_windows", "input_window",
@@ -96,22 +96,13 @@ def make_windows(mains: PowerSeries, appliance: PowerSeries,
         stride = cfg.s
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if (mains.start_time != appliance.start_time
-            or mains.period != appliance.period
-            or len(mains) != len(appliance)):
-        raise ValueError(
-            "mains and appliance series are misaligned: "
-            f"start {mains.start_time} vs {appliance.start_time}, "
-            f"period {mains.period} vs {appliance.period}, "
-            f"length {len(mains)} vs {len(appliance)}"
-        )
-    if mains.has_missing() or appliance.has_missing():
-        raise ValueError("series have missing values; run fill_gaps first")
-    mains_norm = normalize(mains, model.norm_mean, model.norm_std)
-    app_norm = normalize(appliance, model.norm_mean, model.norm_std)
+    check_aligned(mains, appliance, ("mains", "appliance"))
+    mains.require_filled("mains")
+    appliance.require_filled("appliance")
+    mains_norm = model.normalize(mains.values)
+    app_norm = model.normalize(appliance.values)
     labels = label_states(appliance, model)
-    pad = normalize(np.zeros(1), model.norm_mean, model.norm_std)[0]
     starts = np.arange(0, len(mains) - cfg.s + 1, stride)
-    inputs = input_window(mains_norm, starts, cfg, pad)
+    inputs = input_window(mains_norm, starts, cfg, model.normalize(0.0))
     spans = starts[:, None] + np.arange(cfg.s)
     yield from map(WindowedExample, inputs, app_norm[spans], labels[spans])

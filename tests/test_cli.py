@@ -1,6 +1,7 @@
 """Command line interface: end-to-end subcommand flow and error paths."""
 from __future__ import annotations
 
+import argparse
 import json
 import shlex
 from pathlib import Path
@@ -17,6 +18,7 @@ from wattsplit.model import NetConfig
 from wattsplit.windows import WindowConfig
 from wattsplit.series import load_csv
 from wattsplit.states import load_state_model
+from wattsplit.trainer import VARIANTS
 from wattsplit.synth import (
     ApplianceSpec,
     SyntheticScenario,
@@ -88,7 +90,7 @@ class TestSynth:
         mains = load_csv(workspace / "data" / "mains.csv", 6)
         assert len(mains) == 400
         assert mains.period == 6
-        assert not mains.has_missing()
+        mains.require_filled("mains")
 
     def test_states_file_aligns_with_trace(self, workspace):
         lines = (workspace / "data" / "heater.states").read_text().strip().splitlines()
@@ -257,6 +259,21 @@ class TestTrain:
         assert echo["tau"] == 1.0 and isinstance(echo["tau"], float)
         lines = (out / "train_report.csv").read_text().strip().splitlines()
         assert len(lines) == 2
+
+    def test_config_variant_takes_either_spelling(self, workspace, tmp_path):
+        data = workspace / "data"
+        blobs = []
+        for spelling in ("hard_median", "hard-median"):
+            cfg_path = tmp_path / f"{spelling}.json"
+            cfg_path.write_text(json.dumps({
+                "variant": spelling, "mains": str(data / "mains.csv"),
+                "appliance": str(data / "heater.csv"),
+                "state_model": str(workspace / "heater_model.json")}))
+            out = tmp_path / spelling
+            assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                         *TRAIN_FLAGS]) == 0
+            blobs.append((out / "checkpoint.ddnn").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_echo_reused_as_config_writes_the_same_checkpoint(self, workspace, tmp_path):
         run = workspace / "run"
@@ -488,6 +505,13 @@ class TestEvaluate:
                      "--truth", str(workspace / "data" / "heater.csv")]) == 1
         assert "misaligned" in capsys.readouterr().err
 
+    def test_csv_that_is_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0,1\n6,\xff\n")
+        assert main(["evaluate", "--estimate", str(bad), "--truth", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{bad}: line 2 " in err
+
 
 def readme_commands() -> list[list[str]]:
     """argv of each command in the sh block of README's "Command line"."""
@@ -533,6 +557,16 @@ class TestParser:
         # the second call saw no --seed, so the scenario's own seed held
         assert json.loads((seeded / "effective_config.json").read_text())["seed"] == 5
         assert json.loads((unseeded / "effective_config.json").read_text())["seed"] == 3
+
+    def test_variant_choices_are_the_trainer_variants(self):
+        from wattsplit.cli import build_parser
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        for command in ("train", "disaggregate"):
+            (action,) = [a for a in commands.choices[command]._actions
+                         if a.dest == "variant"]
+            assert list(action.choices) == [v.replace("_", "-") for v in VARIANTS]
+        assert VARIANTS == ("plain", "median", "hard", "hard_median")
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -140,19 +140,18 @@ def result_for(name, est: PowerSeries, variant="hard_median") -> DisaggregationR
 
 
 class TestReport:
-    def test_rows_match_evaluate_pair(self):
+    def test_row_matches_evaluate_pair(self, tmp_path):
         truth = series([10.0, 20.0, 30.0])
         est = series([12.0, 18.0, 33.0])
-        rep = report([result_for("kettle", est)], [truth], [result_for("kettle", est)])
-        assert len(rep.rows) == 1
-        assert rep.rows[0] == evaluate_pair("kettle", truth, est)
+        rep = report(result_for("kettle", est), truth, result_for("kettle", est), tmp_path)
+        assert rep.rows == [evaluate_pair("kettle", truth, est)]
 
     def test_metric_csv_format(self, tmp_path):
         truth = series([10.0, 20.0, 30.0])
         est = series([12.0, 18.0, 33.0])
-        rep = report([result_for("kettle", est)], [truth], [result_for("kettle", est)],
-                     out_dir=tmp_path)
-        lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
+        rep = report(result_for("kettle", est), truth, result_for("kettle", est),
+                     tmp_path / "new")
+        lines = (tmp_path / "new" / "metrics.csv").read_text().strip().splitlines()
         assert lines[0] == METRIC_HEADER == "appliance,MAE_W,SAE,T,r,r_est"
         name, mae_v, sae_v, t, r, r_est = lines[1].split(",")
         assert name == "kettle"
@@ -166,8 +165,8 @@ class TestReport:
         truth = series([10.0, 20.0, 30.0])
         est = series([12.0, 18.0, 33.0])
         plain_est = series([11.0, 19.0, 31.0])
-        report([result_for("kettle", est)], [truth], out_dir=tmp_path,
-               plain_results=[result_for("kettle", plain_est, "plain")])
+        report(result_for("kettle", est), truth, result_for("kettle", plain_est, "plain"),
+               tmp_path)
         lines = (tmp_path / "plot_kettle.csv").read_text().strip().splitlines()
         assert lines[0] == PLOT_HEADER == "t,truth,plain,variant"
         assert len(lines) == 4
@@ -181,28 +180,19 @@ class TestReport:
         truth = series(values, start=1_600_000_000)
         est = series(values[::-1], start=1_600_000_000)
         plain = series(np.array(values) * 0.5, start=1_600_000_000)
-        report([result_for("kettle", est)], [truth], out_dir=tmp_path,
-               plain_results=[result_for("kettle", plain, "plain")])
+        report(result_for("kettle", est), truth, result_for("kettle", plain, "plain"),
+               tmp_path)
         stamps = truth.timestamps()
         want = PLOT_HEADER + "\n" + "".join(
             f"{int(stamps[j])},{truth.values[j]:.6f},{plain.values[j]:.6f},"
             f"{est.values[j]:.6f}\n" for j in range(len(truth)))
         assert (tmp_path / "plot_kettle.csv").read_bytes() == want.encode("utf-8")
 
-    def test_multiple_appliances(self, tmp_path):
-        truths = [series([10.0, 20.0]), series([5.0, 5.0])]
-        ests = [series([10.0, 22.0]), series([4.0, 6.0])]
-        results = [result_for("kettle", ests[0]), result_for("fridge", ests[1])]
-        rep = report(results, truths, results, out_dir=tmp_path)
-        assert [r.appliance for r in rep.rows] == ["kettle", "fridge"]
-        assert (tmp_path / "plot_kettle.csv").exists()
-        assert (tmp_path / "plot_fridge.csv").exists()
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="results vs"):
-            report([result_for("a", series([1.0]))], [], [result_for("a", series([1.0]))])
-        with pytest.raises(ValueError, match="plain_results"):
-            report([result_for("a", series([1.0]))], [series([1.0])], [])
+    def test_misaligned_plain_estimate_rejected(self, tmp_path):
+        truth = series([10.0, 20.0])
+        with pytest.raises(ValueError, match="truth and plain estimate are misaligned"):
+            report(result_for("kettle", truth), truth,
+                   result_for("kettle", series([1.0, 2.0], start=6)), tmp_path)
 
     def test_str_is_printable_table(self):
         rep = MetricReport([ApplianceMetrics("kettle", 2.3333, 0.05, 3, 360.0, 378.0)])

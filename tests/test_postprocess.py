@@ -15,17 +15,16 @@ def one_hot(indices, l):
 
 
 def merge(windows, total):
-    """Per-position mean of (start, values) windows, each added by its own
-    ``reconcile_overlaps`` call as a batch of one."""
-    sums, starts, lengths = None, [], []
+    """Per-position mean of (start, values) windows of one length, each
+    added by its own ``reconcile_overlaps`` call as a batch of one."""
+    sums, starts = None, []
     for start, vals in windows:
         batch = np.asarray(vals, dtype=np.float64)[None]
         if sums is None:
             sums = np.zeros((total,) + batch.shape[2:])
         reconcile_overlaps(sums, [start], batch)
         starts.append(start)
-        lengths.append(batch.shape[1])
-    cover = window_cover(starts, lengths, total)
+    cover = window_cover(starts, batch.shape[1], total)
     return sums / cover.reshape((-1,) + (1,) * (sums.ndim - 1))
 
 
@@ -240,7 +239,7 @@ class TestReconcileOverlaps:
     def test_uncovered_position_named(self):
         with pytest.raises(ValueError, match="position 2"):
             merge([(0, np.array([1.0, 2.0])),
-                   (3, np.array([4.0]))], 4)
+                   (3, np.array([4.0, 5.0]))], 5)
 
     def test_out_of_bounds_window(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -286,7 +285,7 @@ class TestReconcileOverlaps:
 
     def test_cover_counts_windows_per_position(self):
         np.testing.assert_array_equal(window_cover([0, 1, 3], 3, 6), [1, 2, 2, 2, 1, 1])
-        np.testing.assert_array_equal(window_cover([0, 0], [1, 2], 2), [2, 1])
+        np.testing.assert_array_equal(window_cover([0, 0], 2, 2), [2, 2])
         with pytest.raises(ValueError, match=r"within \[0, 4\)"):
             window_cover([2], 3, 4)
 

@@ -1,4 +1,5 @@
-"""Series container, CSV grid resampling, gap filling, normalization."""
+"""Series container, CSV grid resampling, gap filling, and the series
+checks: every reading present, and a shared grid."""
 import warnings
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from wattsplit import metrics, states, trainer, windows
 from wattsplit import series as series_module
 from wattsplit.cli import _save_state_indices
-from wattsplit.series import (PowerSeries, denormalize, fill_gaps, load_csv,
-                              normalize, save_columns, save_csv)
+from wattsplit.demo import demo_net_config
+from wattsplit.model import DisaggNet
+from wattsplit.series import (PowerSeries, check_aligned, fill_gaps, load_csv,
+                              save_columns, save_csv)
 
 
 def write_rows(tmp_path, rows, name="series.csv"):
@@ -31,7 +35,9 @@ class TestPowerSeries:
 
     def test_nan_marks_missing(self):
         s = PowerSeries(0, 6, np.array([1.0, np.nan]))
-        assert s.has_missing()
+        with pytest.raises(ValueError, match="^mains has missing values; run fill_gaps first$"):
+            s.require_filled("mains")
+        PowerSeries(0, 6, np.array([1.0, 0.0])).require_filled("mains")
 
     def test_timestamps(self):
         s = PowerSeries(100, 6, np.zeros(4))
@@ -50,7 +56,6 @@ class TestLoadCsv:
         s = load_csv(path, 6)
         assert s.start_time == 0 and s.period == 6
         np.testing.assert_array_equal(s.values, [5.0, 7.0, 9.0])
-        assert not s.has_missing()
 
     def test_large_hole_marks_interior_missing(self, tmp_path):
         # rows at 0 and 18: the 18 s hole exceeds the 6 s period, so the
@@ -148,22 +153,34 @@ class TestLoadCsv:
             with pytest.raises(ValueError, match="no data rows"):
                 load_csv(path, 6)
 
-    def test_whitespace_only_line_loads_through_the_rescan(self, tmp_path, monkeypatch):
+    def test_whitespace_only_line_loads_through_the_row_reader(self, tmp_path,
+                                                               monkeypatch):
         rows = [(6 * i, 0.5 * i) for i in range(10)]
         plain = write_rows(tmp_path, rows, "plain.csv")
         spaced = tmp_path / "spaced.csv"
         text = plain.read_text().splitlines(keepends=True)
         spaced.write_text("".join(text[:5] + [" \t \n"] + text[5:]))
         rescans = []
-        rescan = series_module._raise_first_bad_row
-        monkeypatch.setattr(series_module, "_raise_first_bad_row",
-                            lambda path: rescans.append(path) or rescan(path))
+        read_rows = series_module._read_rows
+        monkeypatch.setattr(series_module, "_read_rows",
+                            lambda path: rescans.append(path) or read_rows(path))
         want = load_csv(plain, 6)
         assert rescans == []
         got = load_csv(spaced, 6)
         assert rescans == [spaced]
         assert got.start_time == want.start_time
         assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("text, line", [
+        pytest.param(b"0,1\n6,\xff\n", 2, id="bad-byte"),
+        pytest.param(b"\xfft,w\n0,1\n", 1, id="bad-byte-in-header"),
+        pytest.param(b"0,1\n \n6,2\n\xc3\n", 4, id="after-a-whitespace-line"),
+    ])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, text, line):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=f"latin.csv: line {line} is not UTF-8 text$"):
+            load_csv(path, 6)
 
     def test_grid_larger_than_memory_refused(self, tmp_path):
         path = write_rows(tmp_path, [(0, 1.0), (10**15, 2.0)])
@@ -187,8 +204,9 @@ class TestLoadCsv:
         np.testing.assert_allclose(back.values, s.values, atol=1e-6)
 
 
-def load_csv_row_loop(path, expected_period):
-    """The row-at-a-time loader ``load_csv`` replaced, kept as its oracle.
+def table_row_loop(path):
+    """The rows of the row-at-a-time loader ``load_csv`` replaced, kept as
+    the oracle of its readers, as a ``[rows, 2]`` table.
 
     One rule differs from the old loop: line 1 is a header only when its
     first field is not a number (the old loop skipped any bad line 1).
@@ -215,10 +233,15 @@ def load_csv_row_loop(path, expected_period):
                 raise ValueError(f"{path}: negative power at line {lineno}: {line!r}")
             times.append(t)
             watts.append(v)
-    if not times:
+    return np.array([times, watts], dtype=np.float64).T.reshape(-1, 2)
+
+
+def load_csv_row_loop(path, expected_period):
+    """``load_csv`` over the oracle's table."""
+    table = table_row_loop(path)
+    if len(table) == 0:
         raise ValueError(f"{path}: no data rows")
-    ts = np.asarray(times)
-    vs = np.asarray(watts)
+    ts, vs = table.T
     if np.any(np.diff(ts) <= 0):
         bad = int(np.argmax(np.diff(ts) <= 0)) + 1
         raise ValueError(f"{path}: non-monotone timestamps around row {bad + 1}")
@@ -283,14 +306,17 @@ class TestLoadCsvMatchesRowLoop:
         path = tmp_path / "gen.csv"
         path.write_bytes(csv_text(header, lines, ending, final_newline).encode("utf-8"))
 
-        def outcome(loader):
+        def outcome(read, *args):
             try:
-                s = loader(path, period)
+                got = read(path, *args)
             except ValueError as err:
                 return "error", str(err)
-            return s.start_time, s.values.tobytes()
+            if isinstance(got, np.ndarray):
+                return got.shape, got.tobytes()
+            return got.start_time, got.values.tobytes()
 
-        assert outcome(load_csv) == outcome(load_csv_row_loop)
+        assert outcome(load_csv, period) == outcome(load_csv_row_loop, period)
+        assert outcome(series_module._read_rows) == outcome(table_row_loop)
 
 
 class TestColumnWriter:
@@ -429,31 +455,36 @@ class TestFillGaps:
     def test_idempotent_and_complete(self, raw):
         vals = np.array([np.nan if x is None else x for x in raw])
         once = fill_gaps(PowerSeries(0, 60, vals))
-        assert not once.has_missing()
+        once.require_filled("series")
         twice = fill_gaps(once)
         np.testing.assert_array_equal(once.values, twice.values)
 
 
-class TestNormalize:
-    def test_reference_points(self):
-        # fridge-style stats: reading 200 W with mean 200/std 400 -> 0
-        assert normalize(np.array([200.0]), 200.0, 400.0)[0] == 0.0
-        # kettle-style stats: reading 1700 W with mean 700/std 1000 -> 1
-        assert normalize(np.array([1700.0]), 700.0, 1000.0)[0] == 1.0
+class TestSeriesChecks:
+    @pytest.mark.parametrize("other", [PowerSeries(0, 6, np.zeros(3)),
+                                       PowerSeries(6, 3, np.zeros(3)),
+                                       PowerSeries(6, 6, np.zeros(4))])
+    def test_misaligned_series_named(self, other):
+        with pytest.raises(ValueError) as err:
+            check_aligned(PowerSeries(6, 6, np.zeros(3)), other, ("truth", "estimate"))
+        assert str(err.value) == (
+            "truth and estimate are misaligned: "
+            f"start 6 vs {other.start_time}, period 6 vs {other.period}, "
+            f"length 3 vs {len(other)}")
 
-    def test_accepts_series(self):
-        s = PowerSeries(0, 6, np.array([100.0, 300.0]))
-        np.testing.assert_array_equal(normalize(s, 200.0, 400.0), [-0.25, 0.25])
-
-    def test_std_must_be_positive(self):
-        with pytest.raises(ValueError, match="std"):
-            normalize(np.zeros(2), 0.0, 0.0)
-        with pytest.raises(ValueError, match="std"):
-            denormalize(np.zeros(2), 0.0, -1.0)
-
-    @given(st.lists(st.floats(0, 1e5), min_size=1, max_size=30),
-           st.floats(-1e3, 1e3), st.floats(1e-2, 1e4))
-    def test_denormalize_inverts(self, vals, mean, std):
-        arr = np.asarray(vals)
-        back = denormalize(normalize(arr, mean, std), mean, std)
-        np.testing.assert_allclose(back, arr, atol=1e-9 * max(1.0, np.max(np.abs(arr))))
+    @pytest.mark.parametrize("entry", [
+        lambda s, m, tmp: list(windows.make_windows(s, s, m, windows.WindowConfig(2, 1))),
+        lambda s, m, tmp: trainer.disaggregate(DisaggNet(demo_net_config(2)), s, m),
+        lambda s, m, tmp: states.cluster_states(s, 2),
+        lambda s, m, tmp: states.label_states(s, m),
+        lambda s, m, tmp: metrics.energy_total(s),
+        lambda s, m, tmp: save_csv(s, tmp / "out.csv"),
+    ], ids=["make_windows", "disaggregate", "cluster_states", "label_states",
+            "energy_total", "save_csv"])
+    def test_entry_points_refuse_missing_values(self, tmp_path, entry):
+        values = np.where(np.arange(200) % 3, 150.0, 0.0)
+        values[7] = np.nan
+        model = states.ApplianceStateModel("heater", [0.0, 150.0], 50.0, 70.0)
+        with pytest.raises(ValueError, match="has missing values; run fill_gaps first$"):
+            entry(PowerSeries(0, 6, values), model, tmp_path)
+        assert not (tmp_path / "out.csv").exists()

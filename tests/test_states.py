@@ -45,6 +45,29 @@ class TestApplianceStateModel:
         assert model_with([0.0, 100.0, 500.0]).state_count == 3
 
 
+class TestNormalize:
+    def test_reference_points(self):
+        # fridge-style stats: reading 200 W with mean 200/std 400 -> 0
+        assert model_with([0.0, 100.0], 200.0, 400.0).normalize(200.0) == 0.0
+        # kettle-style stats: reading 1700 W with mean 700/std 1000 -> 1
+        assert model_with([0.0, 100.0], 700.0, 1000.0).normalize(np.array([1700.0]))[0] == 1.0
+
+    @given(st.lists(st.floats(0, 1e5), min_size=1, max_size=30),
+           st.floats(-1e3, 1e3), st.floats(1e-2, 1e4))
+    def test_bitwise_the_formulas(self, vals, mean, std):
+        arr = np.asarray(vals)
+        model = model_with([0.0, 100.0], mean, std)
+        assert model.normalize(arr).tobytes() == ((arr - mean) / std).tobytes()
+        assert model.denormalize(arr).tobytes() == (arr * std + mean).tobytes()
+        back = model.denormalize(model.normalize(arr))
+        np.testing.assert_allclose(back, arr, atol=1e-9 * max(1.0, np.max(np.abs(arr))))
+
+    @given(st.floats(-1e3, 1e3), st.floats(1e-2, 1e4))
+    def test_zero_watt_pad_is_unchanged(self, mean, std):
+        pad = model_with([0.0, 100.0], mean, std).normalize(0.0)
+        assert np.float64(pad).tobytes() == ((np.zeros(1) - mean) / std)[0].tobytes()
+
+
 class TestClusterStates:
     def test_recovers_jittered_centroids(self, rng):
         # readings near 0 / 100 / 500 W with +-3 W jitter

@@ -12,7 +12,7 @@ from wattsplit.model import (DEFAULT_CONV_STACK, ConvLayerSpec, DisaggNet, NetCo
                              total_loss)
 from wattsplit.postprocess import FilterConfig
 from wattsplit.presets import window_for
-from wattsplit.series import PowerSeries, denormalize, normalize
+from wattsplit.series import PowerSeries
 from wattsplit.states import ApplianceStateModel
 from wattsplit.trainer import (
     VARIANTS,
@@ -315,13 +315,13 @@ class TestDisaggregate:
         mains = make_mains(total=5 * S)
         res = disaggregate(net, mains, sm, variant="hard")
         allowed = set()
-        norm = normalize(mains, sm.norm_mean, sm.norm_std)
-        pad = normalize(np.zeros(1), sm.norm_mean, sm.norm_std)[0]
+        norm = sm.normalize(mains.values)
+        pad = sm.normalize(0.0)
         for st in range(0, len(mains), S):
             window = input_window(norm, st, net.config.window, pad)
             ratings = net.predict(window[None]).ratings[0]
             for r in ratings:
-                allowed.add(round(max(denormalize(r, sm.norm_mean, sm.norm_std), 0.0), 9))
+                allowed.add(round(max(sm.denormalize(r), 0.0), 9))
         for v in res.estimate.values:
             assert round(v, 9) in allowed
 
@@ -411,8 +411,8 @@ def per_window_oracle(net, mains, sm, variant, stride, median_window=5):
     starts = list(range(0, total - s + 1, stride))
     if starts[-1] != total - s:
         starts.append(total - s)
-    norm = normalize(mains, sm.norm_mean, sm.norm_std)
-    pad = normalize(np.zeros(1), sm.norm_mean, sm.norm_std)[0]
+    norm = sm.normalize(mains.values)
+    pad = sm.normalize(0.0)
     power_sum, state_sum, cover = np.zeros(total), np.zeros((total, l)), np.zeros(total)
     for st in starts:
         out = net.predict(input_window(norm, st, net.config.window, pad)[None])
@@ -425,7 +425,7 @@ def per_window_oracle(net, mains, sm, variant, stride, median_window=5):
             power_sum[st + t] += combine_scalar(ratings, rows)[t]
             state_sum[st + t] += rows[t]
             cover[st + t] += 1
-    estimate = np.maximum(denormalize(power_sum / cover, sm.norm_mean, sm.norm_std), 0.0)
+    estimate = np.maximum(sm.denormalize(power_sum / cover), 0.0)
     states = state_sum / cover[:, None]
     if variant != "plain":
         states = np.eye(l)[np.argmax(states, axis=1)]
@@ -477,8 +477,8 @@ class TestDisaggregateMatchesPerWindowOracle:
         monkeypatch.setattr(trainer, "INFER_BATCH_WINDOWS", batch)
         res = disaggregate(net, mains, sm, variant, stride=stride)
         s = net.config.window.s
-        norm = normalize(mains, sm.norm_mean, sm.norm_std)
-        pad = normalize(np.zeros(1), sm.norm_mean, sm.norm_std)[0]
+        norm = sm.normalize(mains.values)
+        pad = sm.normalize(0.0)
         starts = list(range(0, total - s + 1, stride))
         if starts[-1] != total - s:
             starts.append(total - s)
@@ -499,7 +499,7 @@ class TestDisaggregateMatchesPerWindowOracle:
                 power_sum[st : st + s] += values
                 state_sum[st : st + s] += rows
                 cover[st : st + s] += 1
-        estimate = np.maximum(denormalize(power_sum / cover, sm.norm_mean, sm.norm_std), 0.0)
+        estimate = np.maximum(sm.denormalize(power_sum / cover), 0.0)
         states = state_sum / cover[:, None]
         if variant != "plain":
             states = np.eye(L)[np.argmax(states, axis=1)]

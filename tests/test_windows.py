@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wattsplit.series import PowerSeries, denormalize, normalize
+from wattsplit.series import PowerSeries
 from wattsplit.states import ApplianceStateModel, label_states
 from wattsplit.windows import WindowConfig, input_window, make_windows, shared_rows
 
@@ -116,7 +116,7 @@ class TestMakeWindows:
         model = simple_model()
         for ex, start in zip(make_windows(mains, app, model, WindowConfig(8, 4)),
                              range(0, 57, 8)):
-            back = denormalize(ex.target_power, model.norm_mean, model.norm_std)
+            back = model.denormalize(ex.target_power)
             np.testing.assert_allclose(back, app.values[start:start + 8], atol=1e-9)
 
     def test_padding_is_normalized_zero_watts(self, rng):
@@ -162,10 +162,10 @@ class TestMakeWindows:
         model, cfg = simple_model(), WindowConfig(s, w)
         examples = list(make_windows(mains, app, model, cfg, stride=stride))
         assert len(examples) == ((total - s) // stride + 1 if total >= s else 0)
-        mains_norm = normalize(mains, model.norm_mean, model.norm_std)
-        app_norm = normalize(app, model.norm_mean, model.norm_std)
+        mains_norm = model.normalize(mains.values)
+        app_norm = model.normalize(app.values)
         labels = label_states(app, model)
-        pad = normalize(np.zeros(1), model.norm_mean, model.norm_std)[0]
+        pad = model.normalize(0.0)
         for ex, start in zip(examples, range(0, total, stride)):
             assert ex.input.tobytes() == input_window(mains_norm, start, cfg, pad).tobytes()
             assert ex.target_power.tobytes() == app_norm[start : start + s].tobytes()
