@@ -9,8 +9,10 @@ appliances, ``train`` of a ``hard`` net and of a ``--config`` net (with
 ``lambda_power`` 0.5 and a stride-2 conv layer), ``disaggregate`` of the
 first net with each variant at strides 16 and 7 and of the second with
 ``hard-median``, and ``evaluate``. Prints one ``sha256  path`` line per
-output file, sorted by path. The ``effective_config.json`` echoes are left
-out: they hold absolute paths, which differ between checkouts.
+output file, sorted by path, with ``evaluate``'s printed table kept as
+``evaluate.txt``. The other commands' printouts are not kept: ``train``'s
+holds a wall time. The ``effective_config.json`` echoes are left out: they
+hold absolute paths, which differ between checkouts.
 
 A refactor that claims byte-identical outputs is checked by one ``diff``
 of this script's output in the parent's checkout and in the change's.
@@ -50,11 +52,14 @@ CONFIG = {"window_s": 32, "window_w": 40, "conv_stack": [[8, 9], [8, 7, 2]],
           "variant": "hard_median"}
 
 
-def run(*argv) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def run(*argv) -> str:
+    """Run one command; returns what it printed."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
         code = cli.main([str(a) for a in argv])
     if code != 0:
         raise SystemExit(f"wattsplit {argv[0]} exited with {code}")
+    return printed.getvalue()
 
 
 def pipeline(root: Path) -> None:
@@ -81,8 +86,10 @@ def pipeline(root: Path) -> None:
     run("disaggregate", "--checkpoint", root / "config" / "checkpoint.ddnn",
         "--mains", data / "mains.csv", "--state-model", root / "pump.json",
         "--variant", "hard-median", "--out", root / "est-config")
-    run("evaluate", "--estimate", root / "est-hard-median-16" / "estimate.csv",
-        "--truth", data / "heater.csv", "--name", "heater", "--out", root / "metrics.csv")
+    printed = run("evaluate", "--estimate", root / "est-hard-median-16" / "estimate.csv",
+                  "--truth", data / "heater.csv", "--name", "heater",
+                  "--out", root / "metrics.csv")
+    (root / "evaluate.txt").write_text(printed, encoding="utf-8")
 
 
 def main() -> int:

@@ -8,7 +8,7 @@ gate) and median-filter it.
 """
 from .autodiff import Tensor, conv1d, cross_entropy_loss, dense, mse_loss, relu, sigmoid, softmax
 from .checkpoint import load_checkpoint, save_checkpoint
-from .metrics import ApplianceMetrics, MetricReport, mae, report, sae
+from .metrics import ApplianceMetrics, mae, report, sae
 from .model import ConvLayerSpec, DisaggNet, ForwardOutput, NetConfig, combine, total_loss
 from .optim import Adam, Parameter
 from .postprocess import (FilterConfig, combine_hard, hard_gate, median_filter,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import blas_threads, keep_freed_memory, subnetworks_on_two_threads
 from .checkpoint import load_checkpoint, save_checkpoint
-from .metrics import MetricReport, evaluate_pair
+from .metrics import evaluate_pair
 from .model import DEFAULT_CONV_STACK, DisaggNet, NetConfig, conv_stack_lists
 from .postprocess import FilterConfig
 from .presets import GRID_PERIOD_S, window_for
@@ -136,11 +136,6 @@ def _load_series(path, period: int) -> PowerSeries:
     return fill_gaps(load_csv(path, period))
 
 
-def _save_state_indices(path, stamps, indices) -> None:
-    """Write ``epoch_seconds,state_index`` rows."""
-    save_columns(path, [stamps, indices])
-
-
 def cmd_synth(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
@@ -151,8 +146,8 @@ def cmd_synth(args) -> int:
     save_csv(mains, os.path.join(args.out, "mains.csv"))
     for spec, trace, states in zip(scenario.appliances, traces, state_seqs):
         save_csv(trace, os.path.join(args.out, f"{spec.name}.csv"))
-        _save_state_indices(os.path.join(args.out, f"{spec.name}.states"),
-                            trace.timestamps(), states)
+        save_columns(os.path.join(args.out, f"{spec.name}.states"),
+                     [trace.timestamps(), states])
     _echo_config(args.out, "synth",
                  {"scenario": os.path.abspath(args.scenario), "seed": scenario.seed})
     print(f"wrote mains.csv and {len(scenario.appliances)} appliance traces to {args.out}")
@@ -220,8 +215,8 @@ def cmd_disaggregate(args) -> int:
                           stride=args.stride, filter_cfg=filter_cfg)
     os.makedirs(args.out, exist_ok=True)
     save_csv(result.estimate, os.path.join(args.out, "estimate.csv"))
-    _save_state_indices(os.path.join(args.out, "states.csv"),
-                        result.estimate.timestamps(), np.argmax(result.states, axis=1))
+    save_columns(os.path.join(args.out, "states.csv"),
+                 [result.estimate.timestamps(), np.argmax(result.states, axis=1)])
     _echo_config(args.out, "disaggregate", {
         "checkpoint": os.path.abspath(args.checkpoint),
         "state_model": os.path.abspath(args.state_model),
@@ -239,10 +234,9 @@ def cmd_evaluate(args) -> int:
     truth = _load_series(args.truth, args.period)
     estimate = _load_series(args.estimate, args.period)
     row = evaluate_pair(args.name, truth, estimate)
-    rep = MetricReport([row])
     if args.out:
-        rep.to_csv(args.out)
-    print(str(rep))
+        row.to_csv(args.out)
+    print(row)
     return 0
 
 

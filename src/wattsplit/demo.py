@@ -17,27 +17,24 @@ from .metrics import ApplianceMetrics, evaluate_pair
 from .model import ConvLayerSpec, DisaggNet, NetConfig
 from .series import PowerSeries
 from .states import ApplianceStateModel, cluster_states
-from .synth import SyntheticScenario, demo_scenario, generate
+from .synth import demo_scenario, generate
 from .trainer import (GUMBEL_VARIANTS, DisaggregationResult, TrainConfig,
                       TrainReport, disaggregate, train)
 from .windows import WindowConfig, make_windows
 
-__all__ = ["demo_window", "demo_net_config", "ApplianceOutcome", "DemoOutcome",
+__all__ = ["DEMO_WINDOW", "demo_net_config", "ApplianceOutcome", "DemoOutcome",
            "run_demo", "transition_count", "state_accuracy"]
 
 # sized for a single CPU core: enough context to see whole activations
 # (w=40 samples = 4 min at 6 s) without the full benchmark-width stack
 DEMO_CONV_STACK = (ConvLayerSpec(16, 9), ConvLayerSpec(16, 7), ConvLayerSpec(24, 5))
+DEMO_WINDOW = WindowConfig(s=32, w=40)
 HOLDOUT_FRACTION = 0.2  # the trailing share of the scenario that is scored
-
-
-def demo_window() -> WindowConfig:
-    return WindowConfig(s=32, w=40)
 
 
 def demo_net_config(state_count: int, seed: int = 0) -> NetConfig:
     return NetConfig(
-        window=demo_window(),
+        window=DEMO_WINDOW,
         state_count=state_count,
         conv_stack=DEMO_CONV_STACK,
         hidden=96,
@@ -71,8 +68,6 @@ class ApplianceOutcome:
 
 @dataclass
 class DemoOutcome:
-    scenario: SyntheticScenario
-    holdout_start: int
     mains_holdout: PowerSeries
     appliances: list[ApplianceOutcome] = field(default_factory=list)
 
@@ -100,16 +95,14 @@ def run_demo(duration: int = 200_000, seed: int = 7, epochs: int = 10,
     scenario = demo_scenario(duration=duration, seed=seed)
     mains, traces, state_seqs = generate(scenario)
     split = int(round(duration * (1.0 - HOLDOUT_FRACTION)))
-    outcome = DemoOutcome(scenario=scenario, holdout_start=split,
-                          mains_holdout=mains.slice(split, duration))
+    outcome = DemoOutcome(mains_holdout=mains.slice(split, duration))
     modes = sorted({_training_mode(v) for v in variants})
     for spec, trace, true_states in zip(scenario.appliances, traces, state_seqs):
         train_trace = trace.slice(0, split)
         state_model = cluster_states(train_trace, len(spec.centroids),
                                      seed=seed, name=spec.name)
-        window = demo_window()
         examples = list(make_windows(mains.slice(0, split), train_trace,
-                                     state_model, window, stride=train_stride))
+                                     state_model, DEMO_WINDOW, stride=train_stride))
         models: dict[str, DisaggNet] = {}
         reports: dict[str, TrainReport] = {}
         for mode in modes:

@@ -8,8 +8,8 @@ import numpy as np
 
 from .series import PowerSeries, check_aligned, save_columns
 
-__all__ = ["mae", "sae", "energy_total", "ApplianceMetrics", "MetricReport",
-           "evaluate_pair", "report", "PLOT_HEADER", "METRIC_HEADER"]
+__all__ = ["mae", "sae", "energy_total", "ApplianceMetrics", "evaluate_pair", "report",
+           "PLOT_HEADER", "METRIC_HEADER"]
 
 METRIC_HEADER = "appliance,MAE_W,SAE,T,r,r_est"
 PLOT_HEADER = "t,truth,plain,variant"
@@ -48,29 +48,15 @@ class ApplianceMetrics:
     energy_true: float
     energy_est: float
 
-    def csv_row(self) -> str:
-        return (f"{self.appliance},{self.mae_w!r},{self.sae!r},{self.samples},"
-                f"{self.energy_true!r},{self.energy_est!r}")
-
-
-@dataclass
-class MetricReport:
-    rows: list[ApplianceMetrics]
-
     def to_csv(self, path) -> None:
+        """Write the header and this row, at full precision."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(METRIC_HEADER + "\n")
-            for row in self.rows:
-                fh.write(row.csv_row() + "\n")
+            fh.write(f"{METRIC_HEADER}\n{self.appliance},{self.mae_w!r},{self.sae!r},"
+                     f"{self.samples},{self.energy_true!r},{self.energy_est!r}\n")
 
     def __str__(self) -> str:
-        lines = [METRIC_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{row.appliance},{row.mae_w:.3f},{row.sae:.4f},{row.samples},"
-                f"{row.energy_true:.1f},{row.energy_est:.1f}"
-            )
-        return "\n".join(lines)
+        return (f"{METRIC_HEADER}\n{self.appliance},{self.mae_w:.3f},{self.sae:.4f},"
+                f"{self.samples},{self.energy_true:.1f},{self.energy_est:.1f}")
 
 
 def evaluate_pair(appliance: str, truth: PowerSeries,
@@ -88,15 +74,15 @@ def evaluate_pair(appliance: str, truth: PowerSeries,
     )
 
 
-def report(result, truth: PowerSeries, plain_result, out_dir) -> MetricReport:
+def report(result, truth: PowerSeries, plain_result, out_dir) -> ApplianceMetrics:
     """One appliance's metric row, written to ``out_dir`` as metrics.csv,
     plus plot_<appliance>.csv with columns t,truth,plain,variant, whose
     plain column is the estimate of ``plain_result``."""
-    rep = MetricReport([evaluate_pair(result.appliance, truth, result.estimate)])
+    row = evaluate_pair(result.appliance, truth, result.estimate)
     check_aligned(truth, plain_result.estimate, ("truth", "plain estimate"))
     os.makedirs(out_dir, exist_ok=True)
-    rep.to_csv(os.path.join(out_dir, "metrics.csv"))
+    row.to_csv(os.path.join(out_dir, "metrics.csv"))
     save_columns(os.path.join(out_dir, f"plot_{result.appliance}.csv"),
                  [truth.timestamps(), truth.values, plain_result.estimate.values,
                   result.estimate.values], header=PLOT_HEADER)
-    return rep
+    return row

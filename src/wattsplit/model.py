@@ -12,6 +12,7 @@ selecting a single rating per timestep.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,15 +111,25 @@ class NetConfig:
             length = (length - layer.kernel) // layer.stride + 1
         return length
 
+    def parameter_shapes(self, head_width: int) -> list[tuple[str, tuple[int, ...]]]:
+        """One subnetwork's ``(name, shape)`` pairs, in the order they are
+        built and saved: each conv layer's kernels ``[out, in, k]`` and bias,
+        then the fc and head weights ``[out, in]`` and biases."""
+        shapes, cin = [], 1
+        for i, layer in enumerate(self.conv_stack):
+            shapes += [(f"conv{i}/kernels", (layer.filters, cin, layer.kernel)),
+                       (f"conv{i}/bias", (layer.filters,))]
+            cin = layer.filters
+        return shapes + [("fc/weights", (self.hidden, cin * self.feature_length())),
+                         ("fc/bias", (self.hidden,)),
+                         ("head/weights", (head_width, self.hidden)),
+                         ("head/bias", (head_width,))]
+
     def parameter_count(self) -> int:
         """Float values in both subnetworks of a ``DisaggNet`` of this config."""
-        trunk, cin = 0, 1
-        for layer in self.conv_stack:
-            trunk += layer.filters * (cin * layer.kernel + 1)
-            cin = layer.filters
-        trunk += self.hidden * (cin * self.feature_length() + 1)
-        heads = (self.hidden + 1) * (self.state_count + self.window.s * self.state_count)
-        return 2 * trunk + heads
+        l = self.state_count
+        return sum(math.prod(shape) for width in (l, self.window.s * l)
+                   for _, shape in self.parameter_shapes(width))
 
     def feature_stride(self) -> int:
         """Input samples per step of the conv stack's output: the product of
@@ -162,28 +173,14 @@ class _Subnet:
                  rng: np.random.Generator):
         self.cfg = cfg
         self.params: list[Parameter] = []
-        cin = 1
-        for i, layer in enumerate(cfg.conv_stack):
-            kshape = (layer.filters, cin, layer.kernel)
-            self.params.append(Parameter(
-                f"{prefix}/conv{i}/kernels",
-                Tensor(_glorot(rng, kshape, cin * layer.kernel, layer.filters * layer.kernel)),
-            ))
-            self.params.append(Parameter(
-                f"{prefix}/conv{i}/bias",
-                Tensor(np.full(layer.filters, HIDDEN_BIAS_INIT))))
-            cin = layer.filters
+        for name, shape in cfg.parameter_shapes(head_width):
+            if name.endswith("bias"):
+                values = np.full(shape, 0.0 if name == "head/bias" else HIDDEN_BIAS_INIT)
+            else:  # [out, in(, k)]: fan-in in * k, fan-out out * k
+                k = math.prod(shape[2:])
+                values = _glorot(rng, shape, shape[1] * k, shape[0] * k)
+            self.params.append(Parameter(f"{prefix}/{name}", Tensor(values)))
         self.feature_length = cfg.feature_length()
-        flat = cfg.conv_stack[-1].filters * self.feature_length
-        self.params.append(Parameter(
-            f"{prefix}/fc/weights",
-            Tensor(_glorot(rng, (cfg.hidden, flat), flat, cfg.hidden))))
-        self.params.append(Parameter(
-            f"{prefix}/fc/bias", Tensor(np.full(cfg.hidden, HIDDEN_BIAS_INIT))))
-        self.params.append(Parameter(
-            f"{prefix}/head/weights",
-            Tensor(_glorot(rng, (head_width, cfg.hidden), cfg.hidden, head_width))))
-        self.params.append(Parameter(f"{prefix}/head/bias", Tensor(np.zeros(head_width))))
 
     def forward(self, x: np.ndarray, rows: np.ndarray,
                 feature_offsets: np.ndarray) -> Tensor:

@@ -137,7 +137,7 @@ def cluster_states(series: PowerSeries, state_count: int,
 def label_states(series: PowerSeries, model: ApplianceStateModel) -> np.ndarray:
     """One-hot state labels [T, l]: nearest centroid, ties to the lower
     index, readings at or below the ON threshold forced to OFF."""
-    series.require_filled("series")
+    series.require_filled("appliance")
     v = series.values
     idx = np.argmin(np.abs(v[:, None] - model.centroids[None, :]), axis=1)
     idx[v <= model.on_threshold] = 0

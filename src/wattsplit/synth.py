@@ -9,7 +9,7 @@ optional Gaussian noise, clipped at 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -180,7 +180,6 @@ class DisaggregationResult:
     appliance: str
     estimate: PowerSeries          # denormalized watts, clamped at 0
     states: np.ndarray             # [T, l]; soft rows for plain, one-hot otherwise
-    variant: str
 
 
 def disaggregate(model: DisaggNet, mains: PowerSeries,
@@ -282,5 +281,4 @@ def disaggregate(model: DisaggNet, mains: PowerSeries,
         appliance=state_model.name,
         estimate=PowerSeries(mains.start_time, mains.period, estimate),
         states=states,
-        variant=variant,
     )

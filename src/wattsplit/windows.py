@@ -98,7 +98,6 @@ def make_windows(mains: PowerSeries, appliance: PowerSeries,
         raise ValueError(f"stride must be >= 1, got {stride}")
     check_aligned(mains, appliance, ("mains", "appliance"))
     mains.require_filled("mains")
-    appliance.require_filled("appliance")
     mains_norm = model.normalize(mains.values)
     app_norm = model.normalize(appliance.values)
     labels = label_states(appliance, model)

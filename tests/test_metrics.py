@@ -10,7 +10,6 @@ from wattsplit.metrics import (
     METRIC_HEADER,
     PLOT_HEADER,
     ApplianceMetrics,
-    MetricReport,
     energy_total,
     evaluate_pair,
     mae,
@@ -134,38 +133,38 @@ class TestEvaluatePair:
             evaluate_pair("x", truth, series([1.0, 2.0, 3.0]))
 
 
-def result_for(name, est: PowerSeries, variant="hard_median") -> DisaggregationResult:
+def result_for(name, est: PowerSeries) -> DisaggregationResult:
     states = np.eye(2)[np.zeros(len(est), dtype=int)]
-    return DisaggregationResult(name, est, states, variant)
+    return DisaggregationResult(name, est, states)
 
 
 class TestReport:
     def test_row_matches_evaluate_pair(self, tmp_path):
         truth = series([10.0, 20.0, 30.0])
         est = series([12.0, 18.0, 33.0])
-        rep = report(result_for("kettle", est), truth, result_for("kettle", est), tmp_path)
-        assert rep.rows == [evaluate_pair("kettle", truth, est)]
+        row = report(result_for("kettle", est), truth, result_for("kettle", est), tmp_path)
+        assert row == evaluate_pair("kettle", truth, est)
 
     def test_metric_csv_format(self, tmp_path):
         truth = series([10.0, 20.0, 30.0])
         est = series([12.0, 18.0, 33.0])
-        rep = report(result_for("kettle", est), truth, result_for("kettle", est),
+        row = report(result_for("kettle", est), truth, result_for("kettle", est),
                      tmp_path / "new")
         lines = (tmp_path / "new" / "metrics.csv").read_text().strip().splitlines()
         assert lines[0] == METRIC_HEADER == "appliance,MAE_W,SAE,T,r,r_est"
         name, mae_v, sae_v, t, r, r_est = lines[1].split(",")
         assert name == "kettle"
-        assert float(mae_v) == rep.rows[0].mae_w
-        assert float(sae_v) == rep.rows[0].sae
+        assert float(mae_v) == row.mae_w
+        assert float(sae_v) == row.sae
         assert int(t) == 3
-        assert float(r) == rep.rows[0].energy_true
-        assert float(r_est) == rep.rows[0].energy_est
+        assert float(r) == row.energy_true
+        assert float(r_est) == row.energy_est
 
     def test_plot_files_have_plain_and_variant_columns(self, tmp_path):
         truth = series([10.0, 20.0, 30.0])
         est = series([12.0, 18.0, 33.0])
         plain_est = series([11.0, 19.0, 31.0])
-        report(result_for("kettle", est), truth, result_for("kettle", plain_est, "plain"),
+        report(result_for("kettle", est), truth, result_for("kettle", plain_est),
                tmp_path)
         lines = (tmp_path / "plot_kettle.csv").read_text().strip().splitlines()
         assert lines[0] == PLOT_HEADER == "t,truth,plain,variant"
@@ -180,7 +179,7 @@ class TestReport:
         truth = series(values, start=1_600_000_000)
         est = series(values[::-1], start=1_600_000_000)
         plain = series(np.array(values) * 0.5, start=1_600_000_000)
-        report(result_for("kettle", est), truth, result_for("kettle", plain, "plain"),
+        report(result_for("kettle", est), truth, result_for("kettle", plain),
                tmp_path)
         stamps = truth.timestamps()
         want = PLOT_HEADER + "\n" + "".join(
@@ -195,7 +194,5 @@ class TestReport:
                    result_for("kettle", series([1.0, 2.0], start=6)), tmp_path)
 
     def test_str_is_printable_table(self):
-        rep = MetricReport([ApplianceMetrics("kettle", 2.3333, 0.05, 3, 360.0, 378.0)])
-        text = str(rep)
-        assert text.splitlines()[0] == METRIC_HEADER
-        assert "kettle,2.333,0.0500,3,360.0,378.0" in text
+        row = ApplianceMetrics("kettle", 2.3333, 0.05, 3, 360.0, 378.0)
+        assert str(row) == METRIC_HEADER + "\nkettle,2.333,0.0500,3,360.0,378.0"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wattsplit import autodiff as ad
+from wattsplit.demo import demo_net_config
 from wattsplit.model import (
     DEFAULT_CONV_STACK,
     ConvLayerSpec,
@@ -97,6 +98,34 @@ class TestNetConfig:
 # parameters and initialization
 # ---------------------------------------------------------------------------
 
+def explicit_parameters(cfg: NetConfig) -> list[tuple[str, np.ndarray]]:
+    """A net's initial parameters written out layer by layer, drawing from
+    one seeded generator in build order: the reference for the layout loop."""
+    rng = np.random.default_rng(cfg.seed)
+
+    def glorot(shape, fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=shape)
+
+    out = []
+    l, s = cfg.state_count, cfg.window.s
+    for prefix, head_width in (("power", l), ("state", s * l)):
+        cin = 1
+        for i, layer in enumerate(cfg.conv_stack):
+            out.append((f"{prefix}/conv{i}/kernels",
+                        glorot((layer.filters, cin, layer.kernel), cin * layer.kernel,
+                               layer.filters * layer.kernel)))
+            out.append((f"{prefix}/conv{i}/bias", np.full(layer.filters, 0.01)))
+            cin = layer.filters
+        flat = cin * cfg.feature_length()
+        out.append((f"{prefix}/fc/weights", glorot((cfg.hidden, flat), flat, cfg.hidden)))
+        out.append((f"{prefix}/fc/bias", np.full(cfg.hidden, 0.01)))
+        out.append((f"{prefix}/head/weights",
+                    glorot((head_width, cfg.hidden), cfg.hidden, head_width)))
+        out.append((f"{prefix}/head/bias", np.zeros(head_width)))
+    return out
+
+
 class TestParameters:
     def test_parameter_census(self):
         net = DisaggNet(tiny_config())
@@ -112,8 +141,27 @@ class TestParameters:
     def test_parameter_count_matches_the_built_net(self, stack):
         cfg = NetConfig(window=WindowConfig(s=32, w=40), state_count=3,
                         conv_stack=stack, hidden=6)
-        built = sum(p.tensor.values.size for p in DisaggNet(cfg).parameters())
-        assert cfg.parameter_count() == built
+        params = DisaggNet(cfg).parameters()
+        layout = [(f"{prefix}/{name}", shape)
+                  for prefix, width in (("power", 3), ("state", 32 * 3))
+                  for name, shape in cfg.parameter_shapes(width)]
+        assert [(p.name, p.tensor.values.shape) for p in params] == layout
+        assert cfg.parameter_count() == sum(p.tensor.values.size for p in params)
+
+    @pytest.mark.parametrize("cfg", [
+        demo_net_config(3, seed=5),
+        NetConfig(window=WindowConfig(s=32, w=40), state_count=3,
+                  conv_stack=DEFAULT_CONV_STACK, hidden=8, seed=1),
+        NetConfig(window=WindowConfig(s=32, w=40), state_count=2,
+                  conv_stack=((8, 9), (8, 7, 2)), hidden=16, seed=4),
+    ], ids=["demo", "paper-stack", "stride-2"])
+    def test_init_matches_the_layer_by_layer_build(self, cfg):
+        built = [(p.name, p.tensor.values) for p in DisaggNet(cfg).parameters()]
+        expected = explicit_parameters(cfg)
+        assert [name for name, _ in built] == [name for name, _ in expected]
+        for (name, got), (_, want) in zip(built, expected):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_head_shapes(self):
         cfg = tiny_config()

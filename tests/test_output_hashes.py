@@ -21,8 +21,8 @@ def test_two_runs_print_the_same_line_for_each_file():
     paths = [line.split("  ", 1)[1] for line in first]
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in first)
     assert paths == sorted(set(paths))  # one line per file
-    assert len(paths) == 30
+    assert len(paths) == 31
     assert {"data/mains.csv", "heater.json", "pump.json", "hard/checkpoint.ddnn",
-            "config/checkpoint.ddnn", "metrics.csv"} <= set(paths)
+            "config/checkpoint.ddnn", "metrics.csv", "evaluate.txt"} <= set(paths)
     assert sum(p.endswith(("/estimate.csv", "/states.csv")) for p in paths) == 18
     assert not any(p.endswith("effective_config.json") for p in paths)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wattsplit import metrics, states, trainer, windows
 from wattsplit import series as series_module
-from wattsplit.cli import _save_state_indices
 from wattsplit.demo import demo_net_config
 from wattsplit.model import DisaggNet
 from wattsplit.series import (PowerSeries, check_aligned, fill_gaps, load_csv,
@@ -347,7 +346,7 @@ class TestColumnWriter:
         monkeypatch.setattr(series_module, "WRITE_BLOCK_ROWS", 4)
         stamps = 1_600_000_000 + 6 * np.arange(11)
         indices = np.array([0, 1, 2, 0, 0, 3, 1, 1, 0, 2, 4])
-        _save_state_indices(tmp_path / "s.states", stamps, indices)
+        save_columns(tmp_path / "s.states", [stamps, indices])
         want = "".join(f"{int(t)},{int(s)}\n" for t, s in zip(stamps, indices))
         assert (tmp_path / "s.states").read_bytes() == want.encode("utf-8")
 
@@ -474,13 +473,16 @@ class TestSeriesChecks:
 
     @pytest.mark.parametrize("entry", [
         lambda s, m, tmp: list(windows.make_windows(s, s, m, windows.WindowConfig(2, 1))),
+        lambda s, m, tmp: list(windows.make_windows(
+            PowerSeries(s.start_time, s.period, np.nan_to_num(s.values)), s, m,
+            windows.WindowConfig(2, 1))),
         lambda s, m, tmp: trainer.disaggregate(DisaggNet(demo_net_config(2)), s, m),
         lambda s, m, tmp: states.cluster_states(s, 2),
         lambda s, m, tmp: states.label_states(s, m),
         lambda s, m, tmp: metrics.energy_total(s),
         lambda s, m, tmp: save_csv(s, tmp / "out.csv"),
-    ], ids=["make_windows", "disaggregate", "cluster_states", "label_states",
-            "energy_total", "save_csv"])
+    ], ids=["make_windows", "make_windows_appliance", "disaggregate", "cluster_states",
+            "label_states", "energy_total", "save_csv"])
     def test_entry_points_refuse_missing_values(self, tmp_path, entry):
         values = np.where(np.arange(200) % 3, 150.0, 0.0)
         values[7] = np.nan

@@ -287,7 +287,6 @@ class TestDisaggregate:
         res = disaggregate(net, mains, sm, variant="plain")
         assert isinstance(res, DisaggregationResult)
         assert res.appliance == "heater"
-        assert res.variant == "plain"
         assert len(res.estimate) == len(mains)
         assert res.estimate.start_time == mains.start_time
         assert res.estimate.period == mains.period
